@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.engine.vector.bench import (  # noqa: F401  (re-export)
     main,
     run_bench,
-    run_morsel_bench,
 )
 
 if __name__ == "__main__":

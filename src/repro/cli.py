@@ -72,9 +72,6 @@ Enter SQL terminated by ';'.  Dot-commands:
   .tables              list tables and views
   .policy <name>       set planner policy (cost, always_eager, never_eager)
   .engine <name>       set execution backend (row, vector)
-  .morsels <n|off>     set the vector engine's morsel size (off = materialize)
-  .workers <n|auto>    set the worker count for parallel morsel pipelines
-                       (auto = one per core, clamped to os.cpu_count())
   .shards <n|off> [hash|range]
                        run queries shard-parallel through the Exchange
                        operator (off = single-site); the optional method
@@ -144,10 +141,6 @@ class Shell:
             self.write(f"policy set to {argument}")
         elif command == ".engine":
             self._set_engine(argument)
-        elif command == ".morsels":
-            self._set_morsels(argument)
-        elif command == ".workers":
-            self._set_workers(argument)
         elif command == ".shards":
             self._set_shards(argument)
         elif command == ".sessions":
@@ -177,40 +170,6 @@ class Shell:
             self.session.executor_config, engine=name
         )
         self.write(f"engine set to {name}")
-
-    def _set_morsels(self, spec: str) -> None:
-        from dataclasses import replace
-
-        try:
-            size = None if spec in ("off", "none") else int(spec)
-            self.session.executor_config = replace(
-                self.session.executor_config, morsel_size=size
-            )
-        except ValueError as error:
-            self.write(f"error: bad morsel size {spec!r}: {error}")
-            return
-        self.write(
-            "morsel size set to "
-            + ("off (materialize per operator)" if size is None else str(size))
-        )
-
-    def _set_workers(self, spec: str) -> None:
-        from dataclasses import replace
-
-        try:
-            count = parse_workers(spec)
-            self.session.executor_config = replace(
-                self.session.executor_config, workers=count
-            )
-        except ValueError as error:
-            self.write(f"error: bad workers {spec!r}: {error}")
-            return
-        if count == 0:
-            from repro.engine.vector.parallel import resolve_workers
-
-            self.write(f"workers set to auto ({resolve_workers(0)} on this host)")
-        else:
-            self.write(f"workers set to {count}")
 
     def _set_shards(self, spec: str) -> None:
         from dataclasses import replace
@@ -529,23 +488,11 @@ def _explain_command(arguments: list, out: TextIO = sys.stdout) -> int:
     return 0
 
 
-def parse_workers(text: str) -> int:
-    """Parse a ``--workers`` / ``.workers`` value; ``auto`` means the
-    autotuner sentinel 0 (resolved to ``os.cpu_count()``, clamped, by
-    :func:`repro.engine.vector.parallel.resolve_workers`)."""
-    if text == "auto":
-        return 0
-    count = int(text)
-    if count < 1:
-        raise ValueError("workers must be a positive integer or 'auto'")
-    return count
-
-
 def _serve_command(arguments: list, out: TextIO = sys.stdout) -> int:
     """``repro serve``: run the multi-session TCP server.
 
     ``repro serve [--host H] [--port P] [--max-slots N] [--max-bytes B]
-    [--engine row|vector] [--workers N|auto] [script.sql ...]`` — seed
+    [--engine row|vector] [script.sql ...]`` — seed
     scripts load into the database first, then the server accepts
     line-protocol clients (see :mod:`repro.server.net`) until
     interrupted.
@@ -568,7 +515,6 @@ def _serve_command(arguments: list, out: TextIO = sys.stdout) -> int:
         "--max-slots": int,
         "--max-bytes": int,
         "--engine": str,
-        "--workers": parse_workers,
     }
     i = 0
     try:
@@ -590,10 +536,8 @@ def _serve_command(arguments: list, out: TextIO = sys.stdout) -> int:
                     max_slots = value
                 elif name == "--max-bytes":
                     max_bytes = value
-                elif name == "--engine":
-                    config_overrides["engine"] = value
                 else:
-                    config_overrides["workers"] = value
+                    config_overrides["engine"] = value
             else:
                 paths.append(argument)
             i += 1
@@ -683,14 +627,14 @@ def _shard_worker_command(arguments: list, out: TextIO = sys.stdout) -> int:
 
 
 def _extract_budget_flags(arguments: list):
-    """Strip ``--timeout SECONDS``, ``--memory-limit BYTES``,
-    ``--morsel-size ROWS|off`` and ``--workers N`` from an argument list;
-    returns (remaining, ExecutorConfig or None).
+    """Strip ``--timeout SECONDS``, ``--memory-limit BYTES`` and
+    ``--transport memory|socket`` from an argument list; returns
+    (remaining, ExecutorConfig or None).
 
-    The flags build the session's resource budget and pipeline shape
+    The flags build the session's resource budget and shard transport
     (:class:`~repro.engine.executor.ExecutorConfig` ``timeout_seconds`` /
-    ``memory_limit_bytes`` / ``morsel_size`` / ``workers``); a malformed
-    value raises ``ValueError`` with a usage message.
+    ``memory_limit_bytes`` / ``transport``); a malformed value raises
+    ``ValueError`` with a usage message.
     """
     from repro.engine.executor import ExecutorConfig
 
@@ -699,11 +643,6 @@ def _extract_budget_flags(arguments: list):
     flags = {
         "--timeout": ("timeout_seconds", float),
         "--memory-limit": ("memory_limit_bytes", int),
-        "--morsel-size": (
-            "morsel_size",
-            lambda text: None if text in ("off", "none") else int(text),
-        ),
-        "--workers": ("workers", parse_workers),
         "--transport": ("transport", str),
     }
     i = 0

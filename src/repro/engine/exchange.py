@@ -4,7 +4,7 @@ This is Section 7 of the paper made executable.  An
 :class:`~repro.algebra.ops.Exchange` node splits its child's base table
 into partitions (:mod:`repro.storage.partition`), runs the child subtree
 once per shard (re-entering the public executor, so shards keep the
-configured engine — vector shards stream through the morsel driver), and
+configured engine), and
 merges the shard streams back into one deterministic result:
 
 * ``merge=False`` — the shard outputs are interleaved back into base-scan
@@ -202,10 +202,6 @@ def _merge_substats(
     stats.exchanges.extend(sub.exchanges)
     governor.spill_count += sub.spill_count
     governor.spilled_rows += sub.spilled_rows
-    if stats.pipelines is not None and sub.pipelines is not None:
-        stats.pipelines.segments += sub.pipelines.segments
-        stats.pipelines.morsels += sub.pipelines.morsels
-        stats.pipelines.note_inflight(sub.pipelines.max_inflight_bytes)
 
 
 # -- the runner --------------------------------------------------------------
@@ -223,7 +219,7 @@ def run_exchange(
 
     Engine-agnostic by construction — both executors delegate here, shard
     subplans re-enter the public executor under the outer config (same
-    engine, morsels, workers), and the recorded :class:`NodeStats` is
+    engine), and the recorded :class:`NodeStats` is
     deterministic, so row and vector stats stay identical.
     """
     label = node.label()
@@ -326,7 +322,6 @@ def _run_sharded(
             "join_algorithm": config.join_algorithm,
             "aggregation": config.aggregation,
             "exploit_orders": config.exploit_orders,
-            "morsel_size": config.morsel_size,
             "memory_limit_bytes": config.memory_limit_bytes,
             "max_rows": config.max_rows,
             "spill": config.spill,

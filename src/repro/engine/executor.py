@@ -71,7 +71,9 @@ class ExecutorConfig:
     * ``engine``: ``"row"`` (tuple-at-a-time interpreter) or ``"vector"``
       (columnar batches + compiled kernels,
       :class:`repro.engine.vector.VectorExecutor`).  Both backends produce
-      ``=ⁿ``-identical results and identical :class:`ExecutionStats`.
+      ``=ⁿ``-identical results and identical :class:`ExecutionStats`.  The
+      vector engine materializes each operator's output batch in full;
+      ``memory_limit_bytes`` (spill to disk) is its memory bound.
 
     Resource budget (enforced by the per-execution
     :class:`~repro.engine.governor.ResourceGovernor`; all optional):
@@ -96,20 +98,6 @@ class ExecutorConfig:
       or ``"all"``.  Every application is audited by the independent
       plan-equivalence checker; a failed audit aborts the query rather
       than running an unproven plan.
-
-    Morsel streaming (vector engine only; the row engine ignores both):
-
-    * ``morsel_size``: rows per morsel for the streaming vector pipelines
-      (:mod:`repro.engine.vector.morsel`).  Non-blocking operator chains
-      are fused and executed one morsel at a time, bounding peak memory by
-      the morsel size instead of the input size.  ``None`` disables
-      streaming entirely (the materialize-per-operator path).
-    * ``workers``: processes for morsel-parallel partial aggregation
-      (:mod:`repro.engine.vector.parallel`).  ``1`` keeps everything
-      serial; ``0`` means *auto* — the worker-count autotuner picks
-      ``os.cpu_count()`` (clamped, see
-      :func:`repro.engine.vector.parallel.resolve_workers`).  Results are
-      bit-identical whatever the count.
 
     Sharded execution (both engines):
 
@@ -151,8 +139,6 @@ class ExecutorConfig:
     cancellation: Optional[CancellationToken] = None
     degrade: bool = True
     rewrites: Tuple[str, ...] = ()
-    morsel_size: Optional[int] = 32768
-    workers: int = 1
     shards: int = 1
     exchange: str = "auto"
     partitioning: str = "hash"
@@ -200,10 +186,6 @@ class ExecutorConfig:
             raise ValueError("timeout_seconds must be non-negative")
         if self.max_rows is not None and self.max_rows < 0:
             raise ValueError("max_rows must be non-negative")
-        if self.morsel_size is not None and self.morsel_size <= 0:
-            raise ValueError("morsel_size must be positive (or None)")
-        if self.workers < 0:
-            raise ValueError("workers must be at least 1 (or 0 for auto)")
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
         if self.exchange not in ("auto", "off", "gather", "shuffle", "broadcast"):

@@ -9,30 +9,7 @@ here, and the benchmark harness prints them next to the paper's figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-
-@dataclass
-class PipelineStats:
-    """Morsel-pipeline counters for one vector execution.
-
-    ``segments`` counts streamed pipeline segments (fused operator chains
-    bounded by pipeline breakers), ``morsels`` the chunks driven through
-    them, and ``max_inflight_bytes`` the peak *deterministic* estimate of
-    per-morsel state held at any one time (morsel views plus partial
-    aggregation state) — the observable form of the "peak memory is
-    bounded by morsel size, not input size" claim.  ``None`` on
-    :class:`ExecutionStats` means the execution never streamed (row
-    engine, or ``morsel_size=None``).
-    """
-
-    segments: int = 0
-    morsels: int = 0
-    max_inflight_bytes: int = 0
-
-    def note_inflight(self, estimated_bytes: int) -> None:
-        if estimated_bytes > self.max_inflight_bytes:
-            self.max_inflight_bytes = estimated_bytes
+from typing import Dict, List, Tuple
 
 
 @dataclass
@@ -42,8 +19,7 @@ class ExchangeStats:
     ``rows_shipped``/``bytes_shipped`` are *measured* on the serialized
     stream (the spill codec is the wire format), already multiplied by the
     mode's fan-out — a broadcast of 10 rows to 4 shards ships 40.  One
-    entry per Exchange node, in execution order, mirroring
-    :attr:`ExecutionStats.pipelines`.
+    entry per Exchange node, in execution order.
     """
 
     label: str
@@ -117,7 +93,8 @@ class ExecutionStats:
     degradation_events: List[str] = field(default_factory=list)
     spill_count: int = 0
     spilled_rows: int = 0
-    pipelines: Optional[PipelineStats] = None
+    # Always None; kept because the end-to-end benchmark still reads it.
+    pipelines: None = None
     exchanges: List[ExchangeStats] = field(default_factory=list)
 
     def record(self, node_id: int, stats: NodeStats) -> None:
@@ -175,12 +152,6 @@ class ExecutionStats:
                 f"work={s.work:<10} {s.label}"
             )
         lines.append(f"total work: {self.total_work()}")
-        if self.pipelines is not None:
-            p = self.pipelines
-            lines.append(
-                f"pipelines: {p.segments} segments, {p.morsels} morsels, "
-                f"max in-flight ~{p.max_inflight_bytes} bytes"
-            )
         for exchange in self.exchanges:
             lines.append(f"exchange: {exchange.describe()}")
         if self.spill_count:

@@ -84,15 +84,11 @@ class _Gather:
         data = self._data
         if data is None:
             arr = self.source_array
-            sel = self.sel
             if arr is not None and _np is not None:
-                if isinstance(sel, range) and sel.step == 1:
-                    data = arr[sel.start : sel.stop].tolist()
-                else:
-                    data = arr[self.sel_array()].tolist()
+                data = arr[self.sel_array()].tolist()
             else:
                 source = self.source
-                data = [source[i] for i in sel]
+                data = [source[i] for i in self.sel]
             self._data = data
         return data
 
@@ -120,17 +116,6 @@ class _Gather:
             source = self.source
             return [source[i] for i in self.sel[index]]
         return self.source[self.sel[index]]
-
-    def slice_view(self, start: int, stop: int) -> "_Gather":
-        """A lazy sub-gather of rows [start, stop) sharing the source.
-
-        The narrowed selection is a view wherever the representation
-        allows one (numpy index arrays, ranges); no source values are
-        touched until the sub-gather is itself read.
-        """
-        if self._data is not None:
-            return _Gather(self._data, range(start, stop), None)
-        return _Gather(self.source, self.sel[start:stop], self.source_array)
 
 
 #: A column is any indexable sequence of SQL values (list, tuple, _Repeat,
@@ -312,13 +297,7 @@ class ColumnBatch:
                 base = _sequence_array(column.source)
                 column.source_array = base
             if base is not None:
-                sel = column.sel
-                if isinstance(sel, range) and sel.step == 1:
-                    # Contiguous selection: a genuine numpy *view* sharing
-                    # the source's buffer — the zero-copy morsel path.
-                    array = base[sel.start : sel.stop]
-                else:
-                    array = base[column.sel_array()]
+                array = base[column.sel_array()]
         else:
             array = _sequence_array(column)
         self._arrays[index] = array
@@ -379,44 +358,6 @@ class ColumnBatch:
             ordering=ordering,
         )
         return batch
-
-    def slice(self, start: int, stop: int) -> "ColumnBatch":
-        """A lazy morsel view of rows [start, stop) — no value copying.
-
-        Plain columns are wrapped in a contiguous-range :class:`_Gather`
-        that reuses this batch's cached numpy arrays (whose slices are
-        real views over the same base buffer); unmaterialized gathers
-        narrow their selection vector; broadcasts narrow their length.
-        This is how the streaming executor carves morsels out of cached
-        scans without invalidating the column-store cache or copying it.
-        A contiguous slice of sorted rows stays sorted, so the ordering
-        annotation survives.
-        """
-        start = max(0, min(start, self.length))
-        stop = max(start, min(stop, self.length))
-        columns: List[Column] = []
-        for i, column in enumerate(self.columns):
-            if isinstance(column, _Repeat):
-                columns.append(_Repeat(column.value, stop - start))
-            elif isinstance(column, _Gather):
-                columns.append(column.slice_view(start, stop))
-            else:
-                cached = self._arrays.get(i, _MISSING)
-                if cached is None:
-                    # Known non-numeric: a pointer slice beats a lazy view
-                    # that would re-attempt the array conversion per morsel.
-                    columns.append(column[start:stop])
-                else:
-                    columns.append(
-                        _Gather(
-                            column,
-                            range(start, stop),
-                            None if cached is _MISSING else cached,
-                        )
-                    )
-        return ColumnBatch(
-            self.names, columns, length=stop - start, ordering=self.ordering
-        )
 
     def with_ordering(self, ordering: Sequence[str]) -> "ColumnBatch":
         """The same data under a different known-order annotation."""

@@ -40,7 +40,7 @@ from repro.engine.vector.differential import (
     run_differential,
     stats_signature,
 )
-from repro.expressions.builder import col, count, eq, max_, min_, sum_
+from repro.expressions.builder import col, count, eq, sum_
 from repro.sqltypes import INTEGER, VARCHAR
 from repro.workloads.generators import (
     TwoTableSpec,
@@ -219,34 +219,24 @@ def run_bench(
     quick: bool = False,
     repeat: int = 2,
     memory_limit_bytes: Optional[int] = None,
-    morsel_size: Optional[int] = 32768,
-    workers: int = 1,
 ) -> Dict:
     """Time every scenario in both engines; returns the full report dict.
 
     ``memory_limit_bytes`` runs every scenario under that working-set
     budget — blocking operators spill to disk, and the equality checks
     then cover the external paths (the resilience smoke the CI bench job
-    exercises).  ``morsel_size`` / ``workers`` shape the vector engine's
-    streaming pipelines for every scenario.
+    exercises).
     """
     report: Dict = {
         "benchmark": "row-vs-vector backend",
         "quick": quick,
         "repeat": repeat,
         "memory_limit_bytes": memory_limit_bytes,
-        "morsel_size": morsel_size,
-        "workers": workers,
         "scenarios": [],
     }
     for scenario in scenarios(quick):
         db = scenario.build()
-        base = replace(
-            scenario.config,
-            memory_limit_bytes=memory_limit_bytes,
-            morsel_size=morsel_size,
-            workers=workers,
-        )
+        base = replace(scenario.config, memory_limit_bytes=memory_limit_bytes)
         row_s, row_result, row_stats = _time_engine(
             db, scenario.plan, replace(base, engine="row"), repeat
         )
@@ -268,129 +258,6 @@ def run_bench(
             "stats_match": stats_signature(row_stats) == stats_signature(vec_stats),
         }
         report["scenarios"].append(entry)
-    return report
-
-
-#: Morsel sizes the sweep benchmarks (small, default-ish, large).
-MORSEL_SWEEP_SIZES: Tuple[int, ...] = (1024, 4096, 32768)
-
-
-def _star_minmax_plan() -> PlanNode:
-    # The star-schema report with order-insensitive per-row folds (MIN and
-    # MAX bypass the integer bincount shortcut), so the sweep times both
-    # the vectorized and the per-row aggregation paths.
-    joined = Join(
-        Relation("Sales", "S"),
-        Relation("Customer", "C"),
-        eq(col("S.CustID"), col("C.CustID")),
-    )
-    return GroupApply(
-        joined,
-        ["C.CustID", "C.Name"],
-        [
-            AggregateSpec("total", sum_("S.Amount")),
-            AggregateSpec("lo", min_("S.Amount")),
-            AggregateSpec("hi", max_("S.Amount")),
-        ],
-    )
-
-
-def run_morsel_bench(
-    quick: bool = False, repeat: int = 2, workers: int = 2
-) -> Dict:
-    """The morsel sweep: the star schema, streamed at three morsel sizes,
-    serial and parallel, against the materialize-per-operator baseline.
-
-    Two claims under test.  Memory: the streamed pipeline's peak tracked
-    in-flight bytes scale with the morsel size, not the table (the
-    baseline materializes whole operator outputs).  Wall clock: with at
-    least two real cores, the multi-core dispatch beats the serial
-    streamed run at the full 100k-row size — ``cpu_count`` is recorded so
-    single-core environments can gate that expectation honestly (forked
-    workers timesharing one core are pure overhead).
-    """
-    import os
-
-    n_rows = 4000 if quick else 100_000
-    db = _star_db(n_rows)
-    report: Dict = {
-        "benchmark": "morsel-driven streaming sweep",
-        "scenario": "star_schema_minmax",
-        "quick": quick,
-        "rows": n_rows,
-        "repeat": repeat,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "runs": [],
-    }
-
-    def timed(config: ExecutorConfig):
-        return _time_engine(db, _star_minmax_plan, config, repeat)
-
-    base_s, base_result, base_stats = timed(
-        ExecutorConfig(engine="vector", morsel_size=None)
-    )
-    base_signature = stats_signature(base_stats)
-    report["runs"].append(
-        {
-            "mode": "materialized",
-            "morsel_size": None,
-            "workers": 1,
-            "wall_s": round(base_s, 6),
-            "pipelines": None,
-        }
-    )
-
-    def entry(mode: str, morsel_size: int, n_workers: int) -> Dict:
-        seconds, result, stats = timed(
-            ExecutorConfig(
-                engine="vector", morsel_size=morsel_size, workers=n_workers
-            )
-        )
-        p = stats.pipelines
-        return {
-            "mode": mode,
-            "morsel_size": morsel_size,
-            "workers": n_workers,
-            "wall_s": round(seconds, 6),
-            "pipelines": {
-                "segments": p.segments,
-                "morsels": p.morsels,
-                "max_inflight_bytes": p.max_inflight_bytes,
-            },
-            "results_match": result.equals_multiset(base_result),
-            "stats_match": stats_signature(stats) == base_signature,
-        }
-
-    for morsel_size in MORSEL_SWEEP_SIZES:
-        report["runs"].append(entry("serial", morsel_size, 1))
-        report["runs"].append(entry("parallel", morsel_size, workers))
-
-    streamed = [r for r in report["runs"] if r["pipelines"] is not None]
-    by_size = sorted(
-        (r for r in streamed if r["mode"] == "serial"),
-        key=lambda r: r["morsel_size"],
-    )
-    # Non-decreasing, not strict: a morsel size at or above the table's
-    # cardinality collapses to a single materialized morsel, tying the peak.
-    report["inflight_scales_with_morsel"] = all(
-        a["pipelines"]["max_inflight_bytes"]
-        <= b["pipelines"]["max_inflight_bytes"]
-        for a, b in zip(by_size, by_size[1:])
-    )
-    serial = {r["morsel_size"]: r["wall_s"] for r in streamed if r["mode"] == "serial"}
-    parallel = {
-        r["morsel_size"]: r["wall_s"] for r in streamed if r["mode"] == "parallel"
-    }
-    report["parallel_speedups"] = {
-        str(size): round(serial[size] / parallel[size], 3)
-        for size in serial
-        if parallel.get(size)
-    }
-    report["all_equal"] = all(
-        r.get("results_match", True) and r.get("stats_match", True)
-        for r in report["runs"]
-    )
     return report
 
 
@@ -639,28 +506,6 @@ def render_distributed_report(report: Dict) -> str:
     return "\n".join(lines)
 
 
-def render_morsel_report(report: Dict) -> str:
-    lines = [
-        f"morsel sweep: star schema, {report['rows']} rows, "
-        f"{report['cpu_count']} cpu(s)",
-        f"{'mode':<14} {'morsel':>8} {'workers':>8} {'wall (s)':>10} "
-        f"{'in-flight (B)':>14}",
-    ]
-    for r in report["runs"]:
-        p = r["pipelines"]
-        lines.append(
-            f"{r['mode']:<14} {str(r['morsel_size'] or 'off'):>8} "
-            f"{r['workers']:>8} {r['wall_s']:>10.4f} "
-            f"{p['max_inflight_bytes'] if p else '-':>14}"
-        )
-    lines.append(
-        "in-flight scales with morsel: "
-        + ("yes" if report["inflight_scales_with_morsel"] else "NO")
-    )
-    lines.append(f"parallel speedups: {report['parallel_speedups']}")
-    return "\n".join(lines)
-
-
 def render_report(report: Dict) -> str:
     lines = [
         f"{'scenario':<24} {'rows':>8} {'row (s)':>10} {'vector (s)':>11} "
@@ -706,26 +551,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(blocking operators spill to disk)",
     )
     parser.add_argument(
-        "--morsel-size",
-        default="32768",
-        metavar="ROWS",
-        help="vector-engine morsel size for every scenario "
-        "('off' disables streaming)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=lambda text: 0 if text == "auto" else int(text),
-        default=1,
-        help="worker count for parallel morsel pipelines "
-        "('auto' = one per core, clamped to os.cpu_count())",
-    )
-    parser.add_argument(
-        "--morsels",
-        action="store_true",
-        help="run the morsel sweep (serial vs parallel at three morsel "
-        "sizes) and write BENCH_morsel.json instead of the backend bench",
-    )
-    parser.add_argument(
         "--distributed",
         action="store_true",
         help="run the §7 distributed sweep (measured shipped rows/bytes, "
@@ -762,10 +587,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--seed", type=int, default=0, help="workload seed for --server"
     )
     options = parser.parse_args(argv)
-    morsel_size = (
-        None if options.morsel_size in ("off", "none")
-        else int(options.morsel_size)
-    )
 
     if options.server:
         from repro.server.bench import render_server_report, run_server_bench
@@ -775,7 +596,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             operations=10 if options.quick else 40,
             seed=options.seed,
             engine="vector",
-            morsel_size=morsel_size,
             prefill_rows=200 if options.quick else 2000,
         )
         print(render_server_report(report))
@@ -806,32 +626,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 0 if ok else 1
 
-    if options.morsels:
-        sweep = run_morsel_bench(
-            quick=options.quick,
-            repeat=options.repeat,
-            workers=max(2, options.workers),
-        )
-        print(render_morsel_report(sweep))
-        out_path = options.out or "BENCH_morsel.json"
-        with open(out_path, "w") as handle:
-            json.dump(sweep, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {out_path}")
-        return 0 if sweep["all_equal"] else 1
-
     diverged = False
     if options.quick:
-        morsel_overrides = {"morsel_size": morsel_size, "workers": options.workers}
-        differential = run_differential(quick=True, overrides=morsel_overrides)
+        differential = run_differential(quick=True)
         print(render_results(differential))
         diverged = bool(failures(differential))
         if options.memory_limit is not None:
             budgeted = run_differential(
                 quick=True,
-                overrides=dict(
-                    morsel_overrides, memory_limit_bytes=options.memory_limit
-                ),
+                overrides={"memory_limit_bytes": options.memory_limit},
             )
             leaks = failures(budgeted)
             spilled = sum(r.row_spills for r in budgeted)
@@ -846,8 +649,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         quick=options.quick,
         repeat=options.repeat,
         memory_limit_bytes=options.memory_limit,
-        morsel_size=morsel_size,
-        workers=options.workers,
     )
     print(render_report(report))
     mismatched = [

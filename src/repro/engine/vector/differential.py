@@ -434,57 +434,6 @@ def failures(results: Sequence[CaseResult]) -> List[CaseResult]:
     return [r for r in results if not r.ok]
 
 
-#: Morsel-pipeline configurations the full 78-case matrix re-runs under:
-#: degenerate one-row morsels, a prime size that never divides the
-#: fixtures evenly, a large power of two, streaming disabled entirely
-#: (``None`` → the pre-morsel materialize-per-operator path), and the
-#: multi-core dispatch at both interesting sizes.
-MORSEL_MATRIX: Tuple[dict, ...] = (
-    {"morsel_size": 1, "workers": 1},
-    {"morsel_size": 7, "workers": 1},
-    {"morsel_size": 7, "workers": 2},
-    {"morsel_size": 1024, "workers": 1},
-    {"morsel_size": 1024, "workers": 2},
-    {"morsel_size": None, "workers": 1},
-)
-
-
-def morsel_config_label(overrides: dict) -> str:
-    size = overrides.get("morsel_size", "default")
-    parts = [f"morsel={'off' if size is None else size}"]
-    if overrides.get("workers", 1) != 1:
-        parts.append(f"workers={overrides['workers']}")
-    if overrides.get("memory_limit_bytes") is not None:
-        parts.append(f"budget={overrides['memory_limit_bytes']}")
-    return "+".join(parts)
-
-
-def run_morsel_matrix(
-    quick: bool = True, budget_bytes: Optional[int] = 8192
-) -> List[Tuple[str, List[CaseResult]]]:
-    """The 78-case differential under every :data:`MORSEL_MATRIX` entry.
-
-    Streaming morsel pipelines must be invisible: whatever the morsel
-    size or worker count, both backends still agree case by case.  The
-    optional ``budget_bytes`` entry re-runs the smallest morsel size
-    under a working-set budget, pinning the deterministic-spill
-    invariant (segments containing blocking aggregation run materialized
-    under a budget, so spill decisions cannot depend on morsel shape).
-    """
-    sweeps: List[Tuple[str, List[CaseResult]]] = []
-    entries = list(MORSEL_MATRIX)
-    if budget_bytes is not None:
-        entries.append(
-            {"morsel_size": 7, "workers": 2, "memory_limit_bytes": budget_bytes}
-        )
-    for overrides in entries:
-        sweeps.append(
-            (morsel_config_label(overrides),
-             run_differential(quick=quick, overrides=overrides))
-        )
-    return sweeps
-
-
 #: Shard configurations the full matrix replays under: both partitioning
 #: methods at 2 and 4 shards, plus the shards=1 identity row.  Every entry
 #: must be invisible — sharded execution through the Exchange wire is
@@ -798,9 +747,9 @@ def run_fault_matrix(
     breadcrumb names the faulted operator.  Zero silent divergences.
 
     ``overrides`` merges extra :class:`ExecutorConfig` fields into every
-    run — e.g. ``{"morsel_size": 7, "workers": 2}`` replays the matrix
-    with streaming morsel pipelines, asserting faults still degrade (or
-    surface typed) identically when operators run fused and parallel.
+    run — e.g. ``{"shards": 2}`` replays the matrix with sharded
+    execution, asserting faults still degrade (or surface typed)
+    identically when operators run behind an Exchange.
 
     ``engines`` may include the pseudo-engine ``"exchange"`` (meaningful
     only with sharded ``overrides``): its injection point fires per shard

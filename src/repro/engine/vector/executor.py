@@ -83,26 +83,13 @@ class VectorExecutor:
         self.database = database
         self.config = config
         self.params = params
-        # The recursion hook: every operator recurses into children through
-        # this indirection.  run() points it at the morsel driver when
-        # streaming is enabled, so fused chains anywhere in the plan are
-        # intercepted; morsel_size=None keeps the classic per-operator path.
-        self._recurse = self._execute
 
     def run(self, fused: PlanNode) -> Tuple[DataSet, ExecutionStats]:
         """Execute an already-fused plan; returns (result, statistics)."""
         stats = ExecutionStats()
         governor = ResourceGovernor.from_config(self.config)
-        if self.config.morsel_size is not None:
-            from repro.engine.vector.morsel import MorselDriver
-
-            driver = MorselDriver(self)
-            self._recurse = driver.execute_node
-            stats.pipelines = driver.pipeline
-        else:
-            self._recurse = self._execute
         try:
-            batch = self._recurse(fused, stats, governor)
+            batch = self._execute(fused, stats, governor)
             result = batch.to_dataset()
         finally:
             stats.spill_count = governor.spill_count
@@ -246,7 +233,7 @@ class VectorExecutor:
         self, node: Select, stats: ExecutionStats, governor: ResourceGovernor
     ) -> ColumnBatch:
         governor.tick(node.label())
-        child = self._recurse(node.child, stats, governor)
+        child = self._execute(node.child, stats, governor)
 
         def compute() -> Tuple[ColumnBatch, int]:
             return kernels.filter_batch(child, node.condition, self.params)
@@ -281,7 +268,7 @@ class VectorExecutor:
         self, node: Project, stats: ExecutionStats, governor: ResourceGovernor
     ) -> ColumnBatch:
         governor.tick(node.label())
-        child = self._recurse(node.child, stats, governor)
+        child = self._execute(node.child, stats, governor)
 
         def compute() -> Tuple[ColumnBatch, int]:
             batch = kernels.project_batch(child, node.columns)
@@ -314,8 +301,8 @@ class VectorExecutor:
         self, node: Product, stats: ExecutionStats, governor: ResourceGovernor
     ) -> ColumnBatch:
         governor.tick(node.label())
-        left = self._recurse(node.left, stats, governor, "L")
-        right = self._recurse(node.right, stats, governor, "R")
+        left = self._execute(node.left, stats, governor, "L")
+        right = self._execute(node.right, stats, governor, "R")
 
         def compute() -> Tuple[ColumnBatch, int]:
             return kernels.cartesian_product_batch(left, right)
@@ -345,8 +332,8 @@ class VectorExecutor:
         self, node: Join, stats: ExecutionStats, governor: ResourceGovernor
     ) -> ColumnBatch:
         governor.tick(node.label())
-        left = self._recurse(node.left, stats, governor, "L")
-        right = self._recurse(node.right, stats, governor, "R")
+        left = self._execute(node.left, stats, governor, "L")
+        right = self._execute(node.right, stats, governor, "R")
         algorithm = self.config.join_algorithm
 
         def row_path() -> Tuple[ColumnBatch, int]:
@@ -440,7 +427,7 @@ class VectorExecutor:
         self, node: GroupApply, stats: ExecutionStats, governor: ResourceGovernor
     ) -> ColumnBatch:
         governor.tick(node.label())
-        child = self._recurse(node.child, stats, governor)
+        child = self._execute(node.child, stats, governor)
         state_bytes = estimate_table_bytes(child.length, len(child.names))
         if self.config.aggregation == "sort":
             from repro.engine.sorting import is_sorted_on
@@ -504,7 +491,7 @@ class VectorExecutor:
     ) -> ColumnBatch:
         # The Exchange runner is engine-agnostic (it re-enters the public
         # execute() per shard with this config, so shard subplans still run
-        # on the vector engine, morsel driver and all); the merged stream
+        # on the vector engine); the merged stream
         # comes back as rows and re-enters the batch world here.
         from repro.engine.exchange import run_exchange
 
@@ -518,7 +505,7 @@ class VectorExecutor:
         self, node: Sort, stats: ExecutionStats, governor: ResourceGovernor
     ) -> ColumnBatch:
         governor.tick(node.label())
-        child = self._recurse(node.child, stats, governor)
+        child = self._execute(node.child, stats, governor)
         batch, work = self._sorted(
             node.label(), child, node.columns, node.descending, stats, governor
         )
@@ -533,7 +520,7 @@ class VectorExecutor:
     ) -> ColumnBatch:
         governor.tick(node.label())
         # G[GA] alone: grouping realized by sorting, rows unchanged.
-        child = self._recurse(node.child, stats, governor)
+        child = self._execute(node.child, stats, governor)
         batch, work = self._sorted(
             node.label(), child, node.grouping_columns, None, stats, governor
         )

@@ -97,14 +97,15 @@ def resolve_column(names: Sequence[str], ref: ColumnRef) -> int:
     """Resolve a column reference to a position under ``names``.
 
     Same rules as :meth:`RowScope.lookup`: a qualified reference must match
-    exactly; a bare one must match exactly one column's bare name.
+    exactly; a bare one matches a column of exactly that name first, else
+    exactly one column's bare name.
     """
+    exact = ref.qualified if ref.table else ref.column
+    for i, name in enumerate(names):
+        if name == exact:
+            return i
     if ref.table:
-        qualified = ref.qualified
-        for i, name in enumerate(names):
-            if name == qualified:
-                return i
-        raise BindingError(f"unknown column: {qualified}")
+        raise BindingError(f"unknown column: {exact}")
     candidates = [
         i for i, name in enumerate(names) if name.rsplit(".", 1)[-1] == ref.column
     ]

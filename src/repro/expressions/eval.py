@@ -104,9 +104,11 @@ _ARITHMETIC = {
 class RowScope:
     """Resolves column references against a row's named values.
 
-    ``values`` maps *qualified* names ("E.DeptID") to SQL values.  Lookups of
-    unqualified names succeed when exactly one qualified entry matches the
-    bare column name; ambiguity and misses raise :class:`BindingError`.
+    ``values`` maps *qualified* names ("E.DeptID") to SQL values.  An
+    unqualified name resolves to an entry of exactly that name first (an
+    unaliased aggregate output such as ``SUM(A.v)``), else to the one
+    qualified entry whose bare column name matches; ambiguity and misses
+    raise :class:`BindingError`.
     """
 
     __slots__ = ("_values", "_by_bare")
@@ -125,6 +127,8 @@ class RowScope:
             if qualified in self._values:
                 return self._values[qualified]
             raise BindingError(f"unknown column: {qualified}")
+        if ref.column in self._values:
+            return self._values[ref.column]
         candidates = self._by_bare.get(ref.column, [])
         if len(candidates) == 1:
             return self._values[candidates[0]]
@@ -178,6 +182,9 @@ class ReusableRowScope:
             index = self._qualified.get(ref.qualified)
             if index is None:
                 raise BindingError(f"unknown column: {ref.qualified}")
+            return self._row[index]
+        index = self._qualified.get(ref.column)
+        if index is not None:
             return self._row[index]
         candidates = self._by_bare.get(ref.column, ())
         if len(candidates) == 1:

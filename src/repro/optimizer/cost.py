@@ -115,25 +115,18 @@ class CostModel:
         weights: CostWeights = CostWeights(),
         join_algorithm: str = "hash",
         engine: str = "row",
-        workers: int = 1,
         network: "NetworkWeights | None" = None,
     ) -> None:
         if join_algorithm not in ("hash", "nested_loop", "sort_merge"):
             raise ValueError(f"bad join_algorithm: {join_algorithm}")
         if engine not in ENGINE_CPU_FACTORS:
             raise ValueError(f"bad engine: {engine}")
-        if workers < 1:
-            raise ValueError(f"bad workers: {workers}")
         self.estimator = estimator
         self.weights = weights
         self.join_algorithm = join_algorithm
         self.engine = engine
-        self.workers = workers
         self.network = network if network is not None else NetworkWeights()
-        # Like the engine factor, the per-core speedup divides every
-        # candidate's cost uniformly (morsel parallelism applies to whole
-        # pipelines, not select operators), so plan choices never flip.
-        self.cpu_factor = ENGINE_CPU_FACTORS[engine] / max(1, workers)
+        self.cpu_factor = ENGINE_CPU_FACTORS[engine]
 
     def cost(self, plan: PlanNode) -> PlanCost:
         by_node: Dict[int, float] = {}

@@ -62,20 +62,12 @@ class Planner:
         policy: str = "cost",
         assume_unique_keys: bool = False,
         engine: str = "row",
-        workers: int = 1,
     ) -> None:
         if policy not in POLICIES:
             raise PlanningError(f"unknown policy {policy!r}; pick one of {POLICIES}")
-        from repro.engine.vector.parallel import resolve_workers
-
         self.database = database
         self.estimator = CardinalityEstimator(database, statistics)
-        # workers=0 is the auto sentinel: cost plans with the autotuned
-        # effective count, the same number the morsel driver will use.
-        self.cost_model = CostModel(
-            self.estimator, weights, join_algorithm, engine,
-            resolve_workers(workers),
-        )
+        self.cost_model = CostModel(self.estimator, weights, join_algorithm, engine)
         self.policy = policy
         self.assume_unique_keys = assume_unique_keys
 

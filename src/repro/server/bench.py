@@ -43,12 +43,11 @@ def run_server_bench(
     seed: int = 0,
     engine: str = "vector",
     max_slots: Optional[int] = None,
-    morsel_size: Optional[int] = 256,
     prefill_rows: int = 2000,
 ) -> Dict:
     """Run the concurrent workload; returns the JSON-ready report."""
     database, setup_sql = _seed_database()
-    config = ExecutorConfig(engine=engine, morsel_size=morsel_size)
+    config = ExecutorConfig(engine=engine)
     for emp in range(prefill_rows):
         database.insert("Emp", (emp, emp % N_DEPTS, 100 + emp % 900))
     # The prefill happened before the server pinned anything: fold it

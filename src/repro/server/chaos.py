@@ -140,7 +140,6 @@ def run_chaos(
     fault_sessions: int = 2,
     cancel_sessions: int = 2,
     max_slots: Optional[int] = None,
-    morsel_size: Optional[int] = 64,
     check: bool = True,
     shards: int = 1,
     exchange_fault_sessions: int = 0,
@@ -176,7 +175,7 @@ def run_chaos(
     """
     database, setup_sql = _seed_database()
     config = ExecutorConfig(
-        engine=engine, morsel_size=morsel_size, shards=shards,
+        engine=engine, shards=shards,
         transport=transport, rpc_timeout_seconds=2.0,
     )
     server = Server(

@@ -66,6 +66,7 @@ import socket
 import struct
 import sys
 import zlib
+from collections import OrderedDict
 from typing import Any, BinaryIO, Dict, Optional, Tuple
 
 from repro.errors import ReproError, WireFormatError
@@ -207,21 +208,28 @@ def recv_frame(stream: BinaryIO) -> Tuple[Dict[str, Any], int]:
 #: tokens, shard topology) is pinned worker-side.
 _SHARD_CONFIG_FIELDS = frozenset({
     "engine", "join_algorithm", "aggregation", "exploit_orders",
-    "morsel_size", "memory_limit_bytes", "max_rows", "spill", "degrade",
+    "memory_limit_bytes", "max_rows", "spill", "degrade",
 })
+
+#: Completed ``execute`` responses a worker keeps for duplicate requests.
+#: A request ID is only retried inside one coordinator call, so only the
+#: most recent responses can ever be asked for again; older ones are
+#: evicted instead of growing the worker's memory with every query.
+RESPONSE_CACHE_SIZE = 64
 
 
 class ShardWorker:
     """One shard worker process' serving loop (testable in-process).
 
-    Holds the idempotency cache: completed ``execute`` responses keyed by
-    request ID.  A retransmitted request — a retry after a lost response,
+    Holds the idempotency cache: the last :data:`RESPONSE_CACHE_SIZE`
+    completed ``execute`` responses, keyed by request ID.  A retransmitted
+    request — a retry after a lost response,
     or an injected duplicate — is served from the cache without running
     the plan again, so retried partials can never double-count.
     """
 
     def __init__(self) -> None:
-        self._responses: Dict[str, Dict[str, Any]] = {}
+        self._responses: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self.served = 0
         self.duplicates = 0
         self.draining = False
@@ -275,6 +283,8 @@ class ShardWorker:
             return cached
         response = self._run(request)
         self._responses[request_id] = response
+        if len(self._responses) > RESPONSE_CACHE_SIZE:
+            self._responses.popitem(last=False)
         self.served += 1
         return response
 
@@ -295,7 +305,6 @@ class ShardWorker:
             expose_rowids=True,
             shards=1,
             exchange="off",
-            workers=1,
             **overrides,
         )
         database = Database()

@@ -88,13 +88,6 @@ class QueryReport:
                 + ", ".join(certificate.rule for certificate in self.rewrites)
             )
         lines.append(render_annotated(self.plan, self.stats.cardinality_map()))
-        pipelines = self.stats.pipelines
-        if pipelines is not None:
-            lines.append(
-                f"pipelines: {pipelines.segments} segments, "
-                f"{pipelines.morsels} morsels, max in-flight "
-                f"~{pipelines.max_inflight_bytes} bytes"
-            )
         for exchange in self.stats.exchanges:
             lines.append(f"exchange: {exchange.describe()}")
         distribution = self.distribution_certificate
@@ -350,7 +343,6 @@ class Session:
             self.database,
             policy=self.policy,
             engine=self.executor_config.engine,
-            workers=self.executor_config.workers,
         )
         choice = planner.choose(query)
         # Fuse Group/Apply before running so the report's plan nodes carry

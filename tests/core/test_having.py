@@ -6,10 +6,14 @@ from repro.algebra.ops import AggregateSpec, Project, Relation, Select
 from repro.core.having import HIDDEN_PREFIX, grouped_plan_with_having, rewrite_having
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import build_standard_plan
-from repro.engine.executor import execute
+from repro.engine.executor import ExecutorConfig, execute
+from repro.errors import BindingError
 from repro.expressions.builder import and_, col, count, eq, gt, mul, sum_
 from repro.expressions.ast import ColumnRef
+from repro.expressions.compile import resolve_column
+from repro.expressions.eval import ReusableRowScope, RowScope
 from repro.fd.derivation import TableBinding
+from repro.session import Session
 
 
 class TestRewriteHaving:
@@ -93,3 +97,39 @@ class TestPlanShape:
         result, __ = execute(example1_db, build_standard_plan(query))
         assert 0 < result.cardinality < 10
         assert all(row[2] > 25 for row in result.rows)
+
+
+class TestHavingRepeatsSelectAggregate:
+    """``HAVING SUM(v) > 10`` when ``SUM(v)`` is also an unaliased select
+    item: the rewrite reuses the spec named ``SUM(A.v)``, and that name
+    must resolve as an exact column name, on both engines."""
+
+    SQL = "SELECT g, SUM(v) FROM A GROUP BY g HAVING SUM(v) > 10"
+
+    @pytest.mark.parametrize("engine", ["row", "vector"])
+    def test_query_runs_and_filters(self, engine):
+        session = Session(executor_config=ExecutorConfig(engine=engine))
+        session.execute("CREATE TABLE A (id INTEGER PRIMARY KEY, g INTEGER, v INTEGER)")
+        for i in range(10):
+            session.execute(f"INSERT INTO A VALUES ({i}, {i % 4}, {i})")
+        # Group sums: g=0 → 12, g=1 → 15, g=2 → 8, g=3 → 10.
+        report = session.report(self.SQL)
+        assert sorted(map(tuple, report.result.rows)) == [(0, 12), (1, 15)]
+        assert report.stats.degradations == 0
+
+    def test_exact_name_resolves_in_every_scope(self):
+        names = ("A.g", "SUM(A.v)")
+        ref = ColumnRef("", "SUM(A.v)")
+        assert RowScope.from_pairs(names, (1, 30)).lookup(ref) == 30
+        assert ReusableRowScope(names).bind((1, 30)).lookup(ref) == 30
+        assert resolve_column(names, ref) == 1
+
+    def test_ambiguous_bare_name_still_raises(self):
+        names = ("A.g", "B.g")
+        ref = ColumnRef("", "g")
+        with pytest.raises(BindingError, match="ambiguous"):
+            RowScope.from_pairs(names, (1, 2)).lookup(ref)
+        with pytest.raises(BindingError, match="ambiguous"):
+            ReusableRowScope(names).bind((1, 2)).lookup(ref)
+        with pytest.raises(BindingError, match="ambiguous"):
+            resolve_column(names, ref)

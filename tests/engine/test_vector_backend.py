@@ -12,16 +12,22 @@ from repro.algebra.ops import (
     AggregateSpec,
     Apply,
     Group,
+    GroupApply,
     Join,
+    Product,
+    Project,
     Relation,
     Select,
     Sort,
 )
 from repro.catalog import Column, Database, PrimaryKeyConstraint, TableSchema
 from repro.engine.dataset import DataSet
-from repro.engine.executor import Executor, ExecutorConfig
+from repro.engine.executor import Executor, ExecutorConfig, execute
+from repro.engine.governor import CancellationToken, ResourceGovernor
 from repro.engine.joins import hash_join
+from repro.engine.stats import ExecutionStats
 from repro.engine.vector.batch import ColumnBatch, _Gather, _Repeat, _np
+from repro.engine.vector.executor import VectorExecutor
 from repro.engine.vector.kernels import (
     distinct_batch,
     filter_batch,
@@ -29,14 +35,18 @@ from repro.engine.vector.kernels import (
     hash_join_batch,
     sort_batch,
 )
+from repro.errors import QueryCancelled
 from repro.expressions.builder import (
     and_,
+    avg,
     col,
     count_star,
     eq,
     gt,
     is_null_,
     lit,
+    max_,
+    min_,
     not_,
     or_,
     sum_,
@@ -409,3 +419,155 @@ class TestVectorExecutorEndToEnd:
             db, ExecutorConfig(engine="vector")
         ).run(plan)
         assert list(vec_result.rows) == list(row_result.rows)
+
+
+# -- whole-plan edge cases, cancellation and ticking -------------------------
+
+
+def _kv_db(rows):
+    database = Database()
+    database.create_table(
+        TableSchema("T", [Column("k", INTEGER), Column("v", INTEGER)])
+    )
+    for row in rows:
+        database.insert("T", list(row))
+    return database
+
+
+def _grouped_plan():
+    return GroupApply(
+        Select(Relation("T", "T"), gt(col("T.v"), 2)),
+        ["T.k"],
+        [
+            AggregateSpec("n", count_star()),
+            AggregateSpec("s", sum_("T.v")),
+            AggregateSpec("mn", min_("T.v")),
+            AggregateSpec("mx", max_("T.v")),
+            AggregateSpec("a", avg("T.v")),
+        ],
+    )
+
+
+def _minmax_plan():
+    return GroupApply(
+        Relation("T", "T"),
+        ["T.k"],
+        [AggregateSpec("lo", min_("T.v")), AggregateSpec("hi", max_("T.v"))],
+    )
+
+
+def _assert_vector_matches_row(database, plan):
+    row_result, __ = execute(database, plan, ExecutorConfig(engine="row"))
+    vec_result, __ = execute(database, plan, ExecutorConfig(engine="vector"))
+    assert vec_result.equals_multiset(row_result)
+
+
+def test_empty_table():
+    result, __ = execute(
+        _kv_db([]), _grouped_plan(), ExecutorConfig(engine="vector")
+    )
+    assert result.cardinality == 0
+
+
+def test_tie_winner_matches_row_engine():
+    """Duplicate extremes: MIN/MAX must keep the same value the row
+    engine's fold keeps, bit for bit."""
+    rows = [(0, 5), (0, 5), (0, 5), (1, -2), (1, -2)]
+    _assert_vector_matches_row(_kv_db(rows), _minmax_plan())
+
+
+def test_nulls_fall_back_and_stay_correct():
+    rows = [(i % 3, NULL if i % 5 == 0 else i) for i in range(60)]
+    _assert_vector_matches_row(_kv_db(rows), _minmax_plan())
+
+
+class _TripwireToken(CancellationToken):
+    """Cancels itself on the N-th ``cancelled`` check, counting accesses."""
+
+    def __init__(self, trip_at):
+        super().__init__()
+        self.trip_at = trip_at
+        self.accesses = 0
+
+    @property
+    def cancelled(self):
+        self.accesses += 1
+        if self.trip_at is not None and self.accesses >= self.trip_at:
+            return True
+        return self._cancelled
+
+
+def _cancellation_plan():
+    joined = Join(
+        Relation("T", "T"), Relation("D", "D"), eq(col("T.k"), col("D.k"))
+    )
+    return GroupApply(
+        Sort(joined, ["T.k"]), ["T.k"], [AggregateSpec("s", sum_("T.v"))]
+    )
+
+
+def _cancellation_db():
+    database = _kv_db([(i % 20, i) for i in range(600)])
+    database.create_table(
+        TableSchema("D", [Column("k", INTEGER), Column("name", INTEGER)])
+    )
+    for k in range(20):
+        database.insert("D", [k, k])
+    return database
+
+
+def test_cancellation_fires_at_every_check_boundary():
+    """Sweep the trip point over every governor check of a multi-operator
+    plan: wherever cancellation lands — at an operator entry, inside a
+    join, in a blocking sort — the query must end in ``QueryCancelled``,
+    never a silent completion."""
+    db = _cancellation_db()
+    probe = _TripwireToken(None)
+    execute(
+        db,
+        _cancellation_plan(),
+        ExecutorConfig(engine="vector", cancellation=probe),
+    )
+    total = probe.accesses
+    assert total >= 4, "plan too small to sweep"
+    step = max(1, total // 12)  # a dozen probe points across the plan
+    for trip_at in range(1, total + 1, step):
+        token = _TripwireToken(trip_at)
+        with pytest.raises(QueryCancelled):
+            execute(
+                db,
+                _cancellation_plan(),
+                ExecutorConfig(engine="vector", cancellation=token),
+            )
+
+
+def test_every_vector_operator_ticks():
+    """Every operator frame ticks the governor at least once, so
+    tick-driven checks cannot starve on plans avoiding selections."""
+    db = _cancellation_db()
+    plans = {
+        "scan": Relation("T", "T"),
+        "select": Select(Relation("T", "T"), gt(col("T.v"), 10)),
+        "project": Project(Relation("T", "T"), ["T.k"]),
+        "product": Product(
+            Select(Relation("T", "T"), gt(col("T.v"), 590)), Relation("D", "D")
+        ),
+        "join": Join(
+            Relation("T", "T"), Relation("D", "D"), eq(col("T.k"), col("D.k"))
+        ),
+        "group_apply": GroupApply(
+            Relation("T", "T"), ["T.k"], [AggregateSpec("n", count_star())]
+        ),
+        "sort": Sort(Relation("T", "T"), ["T.k"]),
+        "group": Group(Relation("T", "T"), ["T.k"]),
+    }
+    for name, plan in plans.items():
+        executor = VectorExecutor(db, ExecutorConfig(engine="vector"))
+        governor = ResourceGovernor()
+        before = governor._ticks
+        executor._execute(plan, ExecutionStats(), governor)
+        # one tick per operator frame: the plan's own node plus its scans
+        n_frames = 1 + sum(
+            1 for a in ("child", "left", "right") if hasattr(plan, a)
+        )
+        assert governor._ticks - before >= n_frames, name

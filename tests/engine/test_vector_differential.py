@@ -7,13 +7,7 @@ per-operator stats signature.  Any divergence fails with the offending
 case's label.
 """
 
-from repro.engine.vector.differential import (
-    failures,
-    fault_failures,
-    run_differential,
-    run_fault_matrix,
-    run_morsel_matrix,
-)
+from repro.engine.vector.differential import failures, run_differential
 
 
 def test_every_case_equivalent_across_backends():
@@ -48,42 +42,3 @@ def test_every_case_equivalent_under_tight_memory_budget():
         for r in unequal
     )
 
-
-def test_morsel_matrix_equivalent_everywhere():
-    """The 78-case sweep under every morsel configuration — one-row
-    morsels, odd sizes, multi-core dispatch, streaming off, and an 8 KiB
-    working-set budget.  Morsel shape must be unobservable case by case."""
-    sweeps = run_morsel_matrix(quick=True, budget_bytes=8192)
-    assert len(sweeps) == 7
-    for label, results in sweeps:
-        assert len(results) == 78, f"{label}: harness shrank"
-        broken = failures(results)
-        assert not broken, f"[{label}] backends diverge on: " + ", ".join(
-            "{} [{}] results_match={} stats_match={}".format(
-                r.case, r.config, r.results_match, r.stats_match
-            )
-            for r in broken
-        )
-    budgeted = dict(sweeps)["morsel=7+workers=2+budget=8192"]
-    assert any(r.row_spills for r in budgeted), "budget never forced a spill"
-    unequal = [r for r in budgeted if r.row_spills != r.vector_spills]
-    assert not unequal, "spill decisions depend on morsel shape: " + ", ".join(
-        f"{r.case} row={r.row_spills} vector={r.vector_spills}"
-        for r in unequal
-    )
-
-
-def test_fault_matrix_under_streaming_morsels():
-    """Kernel faults inside fused, parallel pipelines still honour the
-    resilience contract: degrade to a matching materialized run or surface
-    a typed error naming the operator — never a silent divergence."""
-    outcomes = run_fault_matrix(
-        quick=True, overrides={"morsel_size": 7, "workers": 2}
-    )
-    assert outcomes, "matrix produced no injections"
-    broken = fault_failures(outcomes)
-    assert not broken, "fault contract violations: " + ", ".join(
-        f"{o.case} [{o.engine}] {o.label} ({o.kind}): {o.mode} {o.detail}"
-        for o in broken
-    )
-    assert any(o.mode == "degraded" for o in outcomes)

@@ -4,8 +4,7 @@ For ANY schedule of concurrent reads and writes across N sessions, every
 read's rows equal what a **serial replay** of the committed write log
 (in epoch order, at the read's pinned epoch) produces — the snapshot
 protocol makes the actual thread interleaving pure implementation
-detail, exactly as the morsel property makes pipeline shape
-unobservable.
+detail.
 
 Hypothesis drives the *schedule*: which session performs which operation
 (insert / delete / read) with which values.  Threads then race for real;
@@ -66,7 +65,7 @@ def test_any_interleaving_reads_equal_serial_replay(schedules, engine):
     database = Database()
     for sql in SETUP:
         execute_statement(database, parse_statement(sql))
-    config = ExecutorConfig(engine=engine, morsel_size=16)
+    config = ExecutorConfig(engine=engine)
     server = Server(database, executor_config=config)
     handles = [server.open_session() for __ in schedules]
     observed = []

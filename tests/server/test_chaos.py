@@ -97,7 +97,7 @@ def test_chaos_write_faults_never_leak_partial_state():
 
 
 def _fault_matrix_server():
-    server = Server(executor_config=ExecutorConfig(engine="vector", morsel_size=32))
+    server = Server(executor_config=ExecutorConfig(engine="vector"))
     setup = server.open_session(session_id="setup")
     setup.execute("CREATE TABLE T (A INTEGER PRIMARY KEY, B INTEGER)")
     for i in range(40):

@@ -19,6 +19,7 @@ import pytest
 from repro.errors import WireFormatError
 from repro.server.transport import (
     MAX_FRAME_BYTES,
+    RESPONSE_CACHE_SIZE,
     WIRE_PICKLE_PROTOCOL,
     WIRE_VERSION,
     RestrictedUnpickler,
@@ -230,6 +231,24 @@ class TestShardWorker:
         worker.handle(make_execute_request("b"))
         assert worker.served == 2
         assert worker.duplicates == 0
+
+    def test_response_cache_is_bounded(self):
+        # Recent duplicates are still served from the cache, while the
+        # cache itself stops growing after many distinct requests.
+        worker = ShardWorker()
+        request = make_execute_request()
+        total = RESPONSE_CACHE_SIZE + 50
+        for i in range(total):
+            worker.handle(dict(request, request_id=f"r{i}"))
+        assert worker.served == total
+        assert len(worker._responses) == RESPONSE_CACHE_SIZE
+        worker.handle(dict(request, request_id=f"r{total - 1}"))
+        assert worker.duplicates == 1
+        assert worker.served == total
+        # The oldest ID was evicted: a late duplicate re-executes.
+        worker.handle(dict(request, request_id="r0"))
+        assert worker.served == total + 1
+        assert len(worker._responses) == RESPONSE_CACHE_SIZE
 
     def test_execute_without_request_id_is_error(self):
         request = make_execute_request()

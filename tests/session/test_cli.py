@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.cli import Shell, feed_lines
 from repro.session import Session
 
@@ -223,59 +221,3 @@ class TestFeedLines:
         feed_lines(shell, [".quit", "SELECT 1;"])
         assert shell.done
         assert "error" not in out.getvalue()
-
-
-class TestMorselControls:
-    def test_morsels_dot_command_sets_size(self):
-        shell, out = make_shell()
-        shell.handle(".morsels 4096")
-        assert shell.session.executor_config.morsel_size == 4096
-        assert "morsel size set to 4096" in out.getvalue()
-
-    def test_morsels_off_disables_streaming(self):
-        shell, out = make_shell()
-        shell.handle(".morsels off")
-        assert shell.session.executor_config.morsel_size is None
-        assert "off" in out.getvalue()
-
-    def test_morsels_rejects_garbage(self):
-        shell, out = make_shell()
-        before = shell.session.executor_config.morsel_size
-        shell.handle(".morsels banana")
-        assert shell.session.executor_config.morsel_size == before
-        assert "error" in out.getvalue()
-
-    def test_workers_dot_command(self):
-        shell, out = make_shell()
-        shell.handle(".workers 2")
-        assert shell.session.executor_config.workers == 2
-        assert "workers set to 2" in out.getvalue()
-
-    def test_workers_rejects_nonpositive(self):
-        shell, out = make_shell()
-        shell.handle(".workers 0")
-        assert shell.session.executor_config.workers == 1
-        assert "error" in out.getvalue()
-
-    def test_global_flags_build_config(self):
-        from repro.cli import _extract_budget_flags
-
-        remaining, config = _extract_budget_flags(
-            ["--morsel-size", "512", "--workers=2", "script.sql"]
-        )
-        assert remaining == ["script.sql"]
-        assert config.morsel_size == 512
-        assert config.workers == 2
-
-    def test_global_flag_morsel_off(self):
-        from repro.cli import _extract_budget_flags
-
-        __, config = _extract_budget_flags(["--morsel-size=off", "--timeout", "5"])
-        assert config.morsel_size is None
-        assert config.timeout_seconds == 5.0
-
-    def test_global_flag_bad_value_raises(self):
-        from repro.cli import _extract_budget_flags
-
-        with pytest.raises(ValueError):
-            _extract_budget_flags(["--workers", "zero"])
