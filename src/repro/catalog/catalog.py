@@ -20,7 +20,7 @@ from repro.catalog.schema import Column, TableSchema
 from repro.errors import CatalogError, ConstraintViolation
 from repro.expressions.analysis import referenced_tables
 from repro.expressions.ast import Expression
-from repro.expressions.eval import RowScope, evaluate_predicate
+from repro.expressions.eval import ReusableRowScope, RowScope, evaluate_predicate
 from repro.sqltypes.values import SqlValue, is_null
 from repro.storage.table import Table
 
@@ -250,12 +250,9 @@ class Database:
                 continue
             (table_name,) = tables
             table = self.table(table_name)
+            scope = _row_scope(table)
             for row in table:
-                scope = RowScope.from_pairs(
-                    (f"{table.name}.{c}" for c in table.schema.column_names()),
-                    row.values,
-                )
-                truth = evaluate_predicate(assertion.expression, scope)
+                truth = evaluate_predicate(assertion.expression, scope.bind(row.values))
                 if truth.is_false():
                     raise ConstraintViolation(
                         f"ASSERTION {assertion.name}",
@@ -278,17 +275,15 @@ class Database:
         from repro.expressions.eval import evaluate_predicate as _evaluate
 
         table = self.table(table_name)
-        doomed = []
-        for row in table:
-            if condition is None:
-                doomed.append(row)
-                continue
-            scope = RowScope.from_pairs(
-                (f"{table_name}.{c}" for c in table.schema.column_names()),
-                row.values,
-            )
-            if _evaluate(condition, scope, params).is_true():
-                doomed.append(row)
+        if condition is None:
+            doomed = list(table)
+        else:
+            scope = _row_scope(table)
+            doomed = [
+                row
+                for row in table
+                if _evaluate(condition, scope.bind(row.values), params).is_true()
+            ]
         if not doomed:
             return 0
         self._check_no_referencing_children(table, doomed)
@@ -313,21 +308,20 @@ class Database:
         from repro.expressions.eval import evaluate_scalar as _scalar
 
         table = self.table(table_name)
-        for column in assignments:
-            table.schema.index_of(column)  # raises on unknown column
+        # index_of raises on an unknown column.
+        setters = [
+            (table.schema.index_of(column), expression)
+            for column, expression in assignments.items()
+        ]
 
+        scope = _row_scope(table)
         targets = []
         for row in table:
-            scope = RowScope.from_pairs(
-                (f"{table_name}.{c}" for c in table.schema.column_names()),
-                row.values,
-            )
+            scope.bind(row.values)
             if condition is None or _evaluate(condition, scope, params).is_true():
                 new_values = list(row.values)
-                for column, expression in assignments.items():
-                    new_values[table.schema.index_of(column)] = _scalar(
-                        expression, scope, params
-                    )
+                for index, expression in setters:
+                    new_values[index] = _scalar(expression, scope, params)
                 targets.append((row, tuple(new_values)))
         if not targets:
             return 0
@@ -422,6 +416,11 @@ class Database:
             f"Database({self.name}: {len(self.tables)} tables, "
             f"{len(self.views)} views)"
         )
+
+
+def _row_scope(table: Table) -> ReusableRowScope:
+    """One scope over ``table``'s qualified column names, rebound per row."""
+    return ReusableRowScope(f"{table.name}.{c}" for c in table.schema.column_names())
 
 
 def _requalify(expression: Expression, old_table: str, new_table: str) -> Expression:

@@ -430,8 +430,6 @@ class ShardPool:
                 last_error = error
                 continue
             worker.record_success()
-            if response.get("op") == "pong":
-                return response
             return response
         from repro.engine.faults import KernelFault
 

@@ -11,7 +11,10 @@ eager wins; Figure 8: standard wins).
 
 Statistics are collected from the actual stored tables
 (:func:`collect_statistics`) or supplied synthetically for what-if studies
-(:class:`ColumnStats` / :class:`TableStats` are plain data).
+(:class:`ColumnStats` / :class:`TableStats` are plain data).  Collected
+statistics are memoized on each table per ``Table.version``, so building
+a fresh :class:`CardinalityEstimator` rescans only the tables written
+since the last scan.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.expressions.analysis import classify_atomic, Type1Condition, Type2Con
 from repro.expressions.ast import Comparison, Expression, IsNull
 from repro.expressions.normalize import split_conjuncts
 from repro.sqltypes.values import group_key
+from repro.storage.table import Table
 
 #: Selectivity guesses for predicates we cannot analyse (System R defaults).
 DEFAULT_EQ_SELECTIVITY = 0.1
@@ -46,7 +50,11 @@ DEFAULT_SELECTIVITY = 0.25
 
 @dataclass
 class ColumnStats:
-    """Distinct-value count (and optional histogram) for one column."""
+    """Distinct-value count (and optional histogram) for one column.
+
+    Instances from :func:`collect_statistics` are cached on the table and
+    shared by every caller: never mutate them.
+    """
 
     distinct: int = 1
     histogram: "Histogram | None" = None
@@ -54,7 +62,11 @@ class ColumnStats:
 
 @dataclass
 class TableStats:
-    """Row count and per-column NDVs for one stored table."""
+    """Row count and per-column NDVs for one stored table.
+
+    Instances from :func:`collect_statistics` are cached on the table and
+    shared by every caller: never mutate them.
+    """
 
     row_count: int = 0
     columns: Dict[str, ColumnStats] = field(default_factory=dict)
@@ -73,28 +85,39 @@ class Statistics:
 def collect_statistics(
     database: Database, histogram_buckets: int = 0
 ) -> Statistics:
-    """Exact statistics scanned from the stored tables.
+    """Exact statistics of the stored tables.
 
     With ``histogram_buckets > 0``, equi-depth histograms are built for
-    numeric columns and used for range-predicate selectivities.
+    numeric columns and used for range-predicate selectivities.  Each
+    table's :class:`TableStats` is memoized on the table per
+    ``Table.version`` (and ``histogram_buckets``): only tables written
+    since their last scan are scanned again.
     """
-    from repro.optimizer.histogram import Histogram
-
     stats = Statistics()
     for name, table in database.tables.items():
-        table_stats = TableStats(row_count=len(table))
-        for i, column in enumerate(table.schema.column_names()):
-            values = {group_key((row.values[i],)) for row in table}
-            histogram = None
-            if histogram_buckets > 0:
-                histogram = Histogram.build(
-                    [row.values[i] for row in table], histogram_buckets
-                )
-            table_stats.columns[column] = ColumnStats(
-                distinct=max(1, len(values)), histogram=histogram
-            )
-        stats.tables[name] = table_stats
+        stats.tables[name] = table.derived(
+            ("statistics", histogram_buckets),
+            lambda table=table: _scan_table(table, histogram_buckets),
+        )
     return stats
+
+
+def _scan_table(table: Table, histogram_buckets: int = 0) -> TableStats:
+    """Exact statistics of one table by a full scan (no caching)."""
+    from repro.optimizer.histogram import Histogram
+
+    table_stats = TableStats(row_count=len(table))
+    for i, column in enumerate(table.schema.column_names()):
+        values = {group_key((row.values[i],)) for row in table}
+        histogram = None
+        if histogram_buckets > 0:
+            histogram = Histogram.build(
+                [row.values[i] for row in table], histogram_buckets
+            )
+        table_stats.columns[column] = ColumnStats(
+            distinct=max(1, len(values)), histogram=histogram
+        )
+    return table_stats
 
 
 @dataclass

@@ -212,10 +212,13 @@ _SHARD_CONFIG_FIELDS = frozenset({
 })
 
 #: Completed ``execute`` responses a worker keeps for duplicate requests.
-#: A request ID is only retried inside one coordinator call, so only the
-#: most recent responses can ever be asked for again; older ones are
-#: evicted instead of growing the worker's memory with every query.
-RESPONSE_CACHE_SIZE = 64
+#: Each entry holds a full partial result, so the cache is sized to the
+#: real retry window: a request ID is only retried inside one coordinator
+#: call, and ``WorkerHandle.call`` serialises calls to a worker, so other
+#: IDs can land between two attempts of one ID only from other coordinator
+#: threads sharing the pool — one per session, and the server and chaos
+#: harnesses default to 8 sessions.  Older responses are evicted.
+RESPONSE_CACHE_SIZE = 16
 
 
 class ShardWorker:

@@ -10,7 +10,19 @@ multi-table assertions) are enforced by
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.catalog.constraints import (
     CheckConstraint,
@@ -31,9 +43,11 @@ class Table:
         self.schema = schema
         self._rows: List[Row] = []
         self._next_rowid = 1
-        #: Bumped on every mutation; lets derived physical representations
-        #: (e.g. the vector backend's columnar scan cache) detect staleness.
+        #: Bumped on every mutation; keys the :meth:`derived` memo, so a
+        #: derived representation is never served for other contents.
         self.version = 0
+        # (version the memo was filled at, key -> derived value).
+        self._derived: Tuple[int, Dict[Hashable, Any]] = (0, {})
         #: Published copy-on-write snapshots set this: a frozen table
         #: refuses every mutation, so a pinned reader can never observe a
         #: write (writers must :meth:`clone` first — the MVCC protocol of
@@ -63,6 +77,32 @@ class Table:
 
     def column_names(self) -> Tuple[str, ...]:
         return self.schema.column_names()
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, memoized per ``key`` for the current :attr:`version`.
+
+        The one cache for representations derived from the table's
+        contents: columnar scan batches, shard twins and optimizer
+        statistics.  The memo holds one version only; the first call after
+        a mutation drops every entry of the old version.  ``version`` is
+        read *before* building and the result is stored under it, so a
+        mutation racing the build can only cause a later miss, never a
+        stale hit.  Callers share the returned object and must not mutate
+        it.  Frozen tables memoize too: deriving changes no contents.
+        """
+        version = self.version
+        filled_at, entries = self._derived
+        if filled_at == version and key in entries:
+            return entries[key]
+        value = build()
+        filled_at, entries = self._derived
+        if filled_at < version:
+            entries = {}
+            self._derived = (version, entries)
+        elif filled_at > version:
+            return value  # a newer version was memoized during the build
+        entries[key] = value
+        return value
 
     # -- copy-on-write snapshots ------------------------------------------
 

@@ -245,6 +245,10 @@ class TestShardWorker:
         worker.handle(dict(request, request_id=f"r{total - 1}"))
         assert worker.duplicates == 1
         assert worker.served == total
+        # The oldest ID still cached, RESPONSE_CACHE_SIZE - 1 requests back.
+        worker.handle(dict(request, request_id=f"r{total - RESPONSE_CACHE_SIZE}"))
+        assert worker.duplicates == 2
+        assert worker.served == total
         # The oldest ID was evicted: a late duplicate re-executes.
         worker.handle(dict(request, request_id="r0"))
         assert worker.served == total + 1

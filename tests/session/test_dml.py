@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.errors import CatalogError, ConstraintViolation
+from repro.catalog.schema import Column, TableSchema
+from repro.errors import BindingError, CatalogError, ConstraintViolation
+from repro.errors import TypeMismatchError
+from repro.expressions.ast import ColumnRef
+from repro.expressions.builder import eq, lit
 from repro.session import Session
+from repro.sqltypes.datatypes import INTEGER
 from repro.sqltypes.values import NULL, is_null
 
 
@@ -123,6 +128,55 @@ class TestUpdate:
     def test_update_unknown_column(self, session):
         with pytest.raises(CatalogError):
             session.execute("UPDATE Employee SET Bogus = 1")
+
+
+class TestTypedErrorsInWhereScan:
+    """UPDATE and DELETE evaluate WHERE and SET over every stored row, so a
+    bad reference raises its typed error even when no row would match."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "DELETE FROM Employee WHERE EmpID = 'x'",
+            "UPDATE Employee SET Salary = 1 WHERE EmpID = 'x'",
+        ],
+    )
+    def test_incomparable_literal(self, session, sql):
+        before = session.database.table("Employee").rows()
+        with pytest.raises(TypeMismatchError, match="cannot compare int with str"):
+            session.execute(sql)
+        assert session.database.table("Employee").rows() == before
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            lambda db, ref: db.delete("T", eq(ref, lit(1))),
+            lambda db, ref: db.update("T", {"b": lit(0)}, eq(ref, lit(1))),
+            lambda db, ref: db.update("T", {"b": ref}),
+        ],
+        ids=["delete-where", "update-where", "update-set"],
+    )
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ("Bogus", "unknown column: Bogus"),
+            ("a", r"ambiguous column a: matches \['T.a', 'T.x.a'\]"),
+        ],
+        ids=["unknown", "ambiguous"],
+    )
+    def test_unresolvable_bare_name(self, statement, column, message):
+        session = Session()
+        db = session.database
+        db.create_table(
+            TableSchema(
+                "T",
+                [Column("a", INTEGER), Column("x.a", INTEGER), Column("b", INTEGER)],
+            )
+        )
+        db.insert("T", [1, 2, 3])
+        with pytest.raises(BindingError, match=message):
+            statement(db, ColumnRef("", column))
+        assert [row.values for row in db.table("T")] == [(1, 2, 3)]
 
 
 class TestInSubquery:

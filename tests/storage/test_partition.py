@@ -9,6 +9,9 @@ rules (stable hash, derived range bounds) that make shard assignment
 reproducible across processes.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.catalog.catalog import Database
@@ -139,6 +142,24 @@ class TestPartitionTable:
         second = partition_table(table, spec)
         assert second is not first
         assert sum(len(t) for t in second) == len(table)
+
+    def test_writes_and_reads_keep_only_current_version_twins(self):
+        """Shard twins of superseded versions are dropped, not retained."""
+        table = make_table()
+        specs = (PartitionSpec("hash", "k", 2), PartitionSpec("range", "k", 3))
+        superseded = []
+        for i in range(5):
+            for spec in specs:
+                superseded.extend(
+                    weakref.ref(twin) for twin in partition_table(table, spec)
+                )
+            table.insert([100 + i, "new"])
+        current = [partition_table(table, spec) for spec in specs]
+        gc.collect()
+        assert all(ref() is None for ref in superseded)
+        # Both specs of the current version stay cached side by side.
+        assert [partition_table(table, spec) for spec in specs] == current
+        assert all(len(table) == sum(map(len, twins)) for twins in current)
 
     def test_single_shard_degenerates_to_the_whole_table(self):
         table = make_table()

@@ -116,3 +116,41 @@ class TestVectorCacheInvalidation:
         second = session.query("SELECT T.a FROM T;")
         assert first.cardinality == 1
         assert second.cardinality == 2
+
+
+class TestDerivedMemo:
+    """``Table.derived``: one memo per version for every derived representation."""
+
+    def test_hit_until_mutation_then_old_entries_dropped(self, db):
+        table = db.table("P")
+        builds = []
+
+        def build():
+            builds.append(len(table))
+            return object()
+
+        first = table.derived("k", build)
+        assert table.derived("k", build) is first
+        table.derived("other", build)
+        db.insert("P", [2])
+        second = table.derived("k", build)
+        assert second is not first
+        assert builds == [1, 1, 2]
+        # Only the current version's entries remain.
+        assert table._derived == (table.version, {"k": second})
+
+    def test_write_during_build_causes_a_miss_not_a_stale_hit(self, db):
+        table = db.table("P")
+
+        def racing_build():
+            value = len(table)  # contents as the build saw them
+            db.insert("P", [2])  # a write lands before the result is stored
+            return value
+
+        assert table.derived("n", racing_build) == 1
+        assert table.derived("n", lambda: len(table)) == 2
+
+    def test_frozen_tables_memoize(self, db):
+        table = db.table("P").clone().freeze()
+        first = table.derived("k", object)
+        assert table.derived("k", object) is first
