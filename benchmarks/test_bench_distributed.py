@@ -4,22 +4,24 @@ each group ... this may reduce the overall cost significantly."
 
 Model: R1's tables live on site 1, R2's on site 2, the join runs at
 site 2.  The standard plan ships every filtered R1 row; the eager plan
-ships one row per group.  We print the transfer volumes and totals across
-group counts and assert the eager savings dominate whenever groups ≪ |R1|.
+ships one row per group.  Each plan is priced by the planner's own
+``CostModel`` with its shipped R1 subplan under an ``Exchange`` node.  We
+print the transfer volumes and totals across group counts and assert the
+eager savings dominate whenever groups ≪ |R1|.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.algebra.ops import AggregateSpec, Join as JoinOp
+from repro.algebra.ops import AggregateSpec, Exchange, Join as JoinOp, replace_subtree
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import build_eager_plan, build_standard_plan
 from repro.engine.executor import ExecutorConfig, execute
 from repro.expressions.builder import col, eq, sum_
 from repro.fd.derivation import TableBinding
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel, DistributedCostModel, NetworkWeights
+from repro.optimizer.cost import CostModel, NetworkWeights
 from repro.storage.partition import PartitionSpec
 from repro.workloads.generators import TwoTableSpec, make_two_table
 
@@ -46,6 +48,12 @@ def shipped_subplans(standard_plan, eager_plan):
     join = eager_plan.child
     assert isinstance(join, JoinOp)
     return standard_shipped, join.left
+
+
+def cost_with_transfer(model, plan, shipped, shards=2):
+    """``plan``'s total cost with ``shipped``'s output crossing the wire."""
+    wired = replace_subtree(plan, shipped, Exchange(shipped, shards=shards))
+    return model.cost(wired).total
 
 
 def test_transfer_volumes_scale_with_groups():
@@ -80,15 +88,14 @@ def test_eager_wins_whenever_network_dominates(per_row_cost):
         TwoTableSpec(n_a=N_A, n_b=N_B, a_groups=50, bref_mode="correlated", seed=5)
     )
     q = query()
-    model = DistributedCostModel(
-        CostModel(CardinalityEstimator(db)),
-        NetworkWeights(per_row=per_row_cost),
+    model = CostModel(
+        CardinalityEstimator(db), network=NetworkWeights(per_row=per_row_cost)
     )
     standard_plan = build_standard_plan(q)
     eager_plan = build_eager_plan(q)
     standard_shipped, eager_shipped = shipped_subplans(standard_plan, eager_plan)
-    standard_total = model.cost_with_transfer(standard_plan, standard_shipped)
-    eager_total = model.cost_with_transfer(eager_plan, eager_shipped)
+    standard_total = cost_with_transfer(model, standard_plan, standard_shipped)
+    eager_total = cost_with_transfer(model, eager_plan, eager_shipped)
     saving = standard_total - eager_total
     print(
         f"\nper-row={per_row_cost}: standard={standard_total:.0f} "
@@ -107,9 +114,9 @@ def test_measured_wire_matches_cost_model_ordering(groups):
     The standard plan's only distributable region is the bare ``A`` scan,
     so the whole partition crosses the wire; the eager plan's below-join
     group-by runs under the Exchange and ships one partial row per BRef
-    group.  The measured byte ordering must agree with the
-    ``cost_with_transfer`` ordering the planner reasons from, and both
-    sharded runs must still compute the same answer.
+    group.  The measured byte ordering must agree with the ordering of
+    the planner's own ``CostModel`` over the same Exchange placements,
+    and both sharded runs must still compute the same answer.
     """
     shards = 2
     db = make_two_table(
@@ -122,12 +129,12 @@ def test_measured_wire_matches_cost_model_ordering(groups):
     standard_plan = build_standard_plan(q)
     eager_plan = build_eager_plan(q)
     standard_shipped, eager_shipped = shipped_subplans(standard_plan, eager_plan)
-    model = DistributedCostModel(
-        CostModel(CardinalityEstimator(db)), NetworkWeights(per_row=100.0)
+    model = CostModel(
+        CardinalityEstimator(db), network=NetworkWeights(per_row=100.0)
     )
-    modeled_saving = model.cost_with_transfer(
-        standard_plan, standard_shipped
-    ) - model.cost_with_transfer(eager_plan, eager_shipped)
+    modeled_saving = cost_with_transfer(
+        model, standard_plan, standard_shipped, shards
+    ) - cost_with_transfer(model, eager_plan, eager_shipped, shards)
 
     config = ExecutorConfig(shards=shards)
     standard_result, standard_stats = execute(db, build_standard_plan(q), config)
@@ -150,15 +157,15 @@ def test_bench_distributed_cost_model(benchmark):
         TwoTableSpec(n_a=N_A, n_b=N_B, a_groups=50, bref_mode="correlated", seed=6)
     )
     q = query()
-    model = DistributedCostModel(CostModel(CardinalityEstimator(db)))
+    model = CostModel(CardinalityEstimator(db))
     standard_plan = build_standard_plan(q)
     eager_plan = build_eager_plan(q)
     standard_shipped, eager_shipped = shipped_subplans(standard_plan, eager_plan)
 
     def run():
         return (
-            model.cost_with_transfer(standard_plan, standard_shipped),
-            model.cost_with_transfer(eager_plan, eager_shipped),
+            cost_with_transfer(model, standard_plan, standard_shipped),
+            cost_with_transfer(model, eager_plan, eager_shipped),
         )
 
     standard_total, eager_total = benchmark(run)

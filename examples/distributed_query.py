@@ -2,18 +2,20 @@
 
 Two-site model: the fact table A lives on site 1, the dimension B on
 site 2, the join executes at site 2.  The standard plan transfers every
-filtered A row; the eager plan transfers one row per group.
+filtered A row; the eager plan transfers one row per group.  Each plan is
+priced by the planner's cost model with the shipped A-side subplan under
+an Exchange (two shards).
 
 Run:  python examples/distributed_query.py
 """
 
-from repro.algebra.ops import AggregateSpec, Join
+from repro.algebra.ops import AggregateSpec, Exchange, Join, replace_subtree
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import build_eager_plan, build_standard_plan
 from repro.expressions.builder import col, eq, sum_
 from repro.fd.derivation import TableBinding
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel, DistributedCostModel, NetworkWeights
+from repro.optimizer.cost import CostModel, NetworkWeights
 from repro.workloads.generators import TwoTableSpec, make_two_table
 
 
@@ -37,6 +39,10 @@ def main() -> None:
     join = eager_plan.child
     assert isinstance(join, Join)
     eager_shipped = join.left  # the aggregated R1 block
+    standard_wired = replace_subtree(
+        standard_plan, standard_shipped, Exchange(standard_shipped)
+    )
+    eager_wired = replace_subtree(eager_plan, eager_shipped, Exchange(eager_shipped))
 
     estimator = CardinalityEstimator(db)
     print(f"|A| = {n_a}, groups = {groups}")
@@ -46,11 +52,9 @@ def main() -> None:
     print(" per-row net cost | total standard | total eager | eager saves")
     print("------------------+----------------+-------------+------------")
     for per_row in (1.0, 10.0, 100.0, 1000.0):
-        model = DistributedCostModel(
-            CostModel(estimator), NetworkWeights(per_row=per_row)
-        )
-        standard_total = model.cost_with_transfer(standard_plan, standard_shipped)
-        eager_total = model.cost_with_transfer(eager_plan, eager_shipped)
+        model = CostModel(estimator, network=NetworkWeights(per_row=per_row))
+        standard_total = model.cost(standard_wired).total
+        eager_total = model.cost(eager_wired).total
         saving = 100.0 * (standard_total - eager_total) / standard_total
         print(
             f" {per_row:>16.0f} | {standard_total:>14.0f} | "

@@ -362,6 +362,24 @@ def _with_children(plan: PlanNode, children: Tuple[PlanNode, ...]) -> PlanNode:
     raise TypeError(f"cannot rebuild {type(plan).__name__}")
 
 
+def replace_subtree(
+    plan: PlanNode, target: PlanNode, replacement: PlanNode
+) -> PlanNode:
+    """``plan`` with the node ``target`` (by identity) swapped for
+    ``replacement``; untouched subtrees are shared, not copied."""
+    if plan is target:
+        return replacement
+    children = plan.children()
+    if not children:
+        return plan
+    rebuilt = tuple(
+        replace_subtree(child, target, replacement) for child in children
+    )
+    if all(new is old for new, old in zip(rebuilt, children)):
+        return plan
+    return _with_children(plan, rebuilt)
+
+
 def walk_plan(plan: PlanNode):
     """Yield ``plan`` and all descendants, pre-order."""
     yield plan

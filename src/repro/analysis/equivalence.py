@@ -708,27 +708,28 @@ def exact_decomposition_reason(
     """Why a two-phase split of ``group`` would NOT be bit-exact, or None.
 
     Re-derives (from the plan alone) the proof obligations of the
-    partial+merge rewrite: every aggregate must be decomposable, and
-    SUM/AVG — whose merged fold reassociates additions — must run over a
-    column of an exact integer type, so the regrouped sums are the very
-    same values the one-phase fold produces.  MIN/MAX/COUNT need no type
-    guard: they merge by the same comparator / by exact integer addition.
+    partial+merge rewrite: every aggregate must be decomposable, and the
+    order-sensitive ones (SUM/AVG) — whose merged fold reassociates
+    additions — must run over a column of an exact integer type, so the
+    regrouped sums are the very same values the one-phase fold produces.
+    The others need no type guard: they merge by the same comparator / by
+    exact integer addition.  Both facts come from the aggregate contract.
     """
-    from repro.engine.exchange import decompose_aggregates
+    from repro.expressions.aggregates import ORDER_SENSITIVE, partials
     from repro.expressions.ast import Aggregate
     from repro.sqltypes.datatypes import IntegerType, SmallIntType
 
-    if decompose_aggregates(group.aggregates) is None:
-        return "aggregates are not decomposable into mergeable partials"
+    for spec in group.aggregates:
+        expression = spec.expression
+        if not isinstance(expression, Aggregate) or partials(expression) is None:
+            return "aggregates are not decomposable into mergeable partials"
     try:
         schema = infer_schema(group.child, database)
     except Exception as error:
         return f"cannot infer the group input schema: {error}"
     for spec in group.aggregates:
         expression = spec.expression
-        if not isinstance(expression, Aggregate):
-            return f"{spec.name}: not a bare aggregate"
-        if expression.function not in ("SUM", "AVG"):
+        if expression.function not in ORDER_SENSITIVE:
             continue
         argument = expression.argument
         if not isinstance(argument, ColumnRef):

@@ -36,15 +36,11 @@ from repro.analysis.diagnostics import Diagnostic, DiagnosticSink, Severity
 from repro.analysis.schema import PlanSchema, _node_path, infer_schemas
 from repro.analysis.typecheck import check_expression
 from repro.catalog.catalog import Database
-from repro.expressions.ast import Expression, walk as walk_expression
-
-#: Aggregate functions whose value changes under join-induced duplication.
-DUPLICATE_SENSITIVE = ("SUM", "COUNT", "AVG")
+from repro.expressions.aggregates import DUPLICATE_SENSITIVE
+from repro.expressions.ast import Aggregate, Expression, walk as walk_expression
 
 
 def _has_duplicate_sensitive(expression: Expression) -> bool:
-    from repro.expressions.ast import Aggregate
-
     return any(
         isinstance(node, Aggregate)
         and node.function in DUPLICATE_SENSITIVE

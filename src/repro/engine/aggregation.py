@@ -8,11 +8,11 @@ physical strategies are provided:
   the scan (the technique §2 of the paper attributes to the folklore and to
   Klug [9]: aggregation can be computed while grouping).
 
-Aggregate functions follow SQL2: NULL inputs are skipped; ``COUNT(col)``
-counts non-NULLs; ``COUNT(*)`` counts rows; SUM/AVG/MIN/MAX over an empty
-bag yield NULL.  ``F(AA)`` may be any arithmetic over aggregates
-(``COUNT(A1) + SUM(A2 + A3)``); each spec yields exactly one value per
-group.
+Each aggregate function folds by the contract in
+:mod:`repro.expressions.aggregates` (SQL2: NULL inputs skipped, NULL over
+an empty bag); ``COUNT(*)`` counts rows.  ``F(AA)`` may be any arithmetic
+over aggregates (``COUNT(A1) + SUM(A2 + A3)``); each spec yields exactly
+one value per group.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ from repro.expressions.ast import (
     Negate,
     aggregates as collect_aggregates,
 )
+from repro.expressions.aggregates import fold
 from repro.expressions.eval import ReusableRowScope, evaluate_scalar
 from repro.sqltypes.values import (
     NULL,
     SqlValue,
     group_key,
-    is_null,
     sort_key,
     sql_add,
     sql_div,
@@ -80,39 +80,12 @@ def compute_aggregate(
     """Evaluate one aggregate function over the rows of one group."""
     if aggregate.argument is None:  # COUNT(*)
         return len(group_rows)
-
-    values: List[SqlValue] = []
     scope = ReusableRowScope(dataset.columns)
-    for row in group_rows:
-        value = evaluate_scalar(aggregate.argument, scope.bind(row), params)
-        if not is_null(value):
-            values.append(value)
-    if aggregate.distinct:
-        seen: Dict[Tuple, SqlValue] = {}
-        for value in values:
-            seen.setdefault(group_key((value,)), value)
-        values = list(seen.values())
-
-    function = aggregate.function
-    if function == "COUNT":
-        return len(values)
-    if not values:
-        return NULL
-    if function == "SUM":
-        total = values[0]
-        for value in values[1:]:
-            total = sql_add(total, value)
-        return total
-    if function == "AVG":
-        total = values[0]
-        for value in values[1:]:
-            total = sql_add(total, value)
-        return sql_div(total, len(values)) if not isinstance(total, int) else total / len(values)
-    if function == "MIN":
-        return min(values, key=lambda v: sort_key((v,)))
-    if function == "MAX":
-        return max(values, key=lambda v: sort_key((v,)))
-    raise ExecutionError(f"unknown aggregate function {function}")
+    argument = aggregate.argument
+    values = [
+        evaluate_scalar(argument, scope.bind(row), params) for row in group_rows
+    ]
+    return fold(aggregate.function, values, aggregate.distinct)
 
 
 def evaluate_aggregate_expression(

@@ -14,9 +14,9 @@ merges the shard streams back into one deterministic result:
   unsharded child's output.
 * ``merge=True`` — the child's terminal :class:`GroupApply` is decomposed
   into per-shard *partial* aggregates plus a hidden ``MIN(RowID)`` ordinal,
-  and the partials are re-aggregated globally above the wire.  The merge
-  contract matches :mod:`repro.engine.vector.parallel`'s order-independent
-  one (integer COUNT/SUM/AVG exact, MIN/MAX by the engine's comparator).
+  and the partials are re-aggregated globally above the wire.  Which
+  partials each function needs, how each merges and how AVG is finalized
+  come from the aggregate contract, :mod:`repro.expressions.aggregates`.
   The global merge runs through the requesting engine's *own* grouped
   aggregation over the ordinal-ordered partial union, so the merged
   stream is bit-identical to the unsharded GroupApply on that engine —
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.ops import (
     AggregateSpec,
@@ -72,9 +72,10 @@ from repro.engine.faults import KernelFault
 from repro.engine.governor import ResourceGovernor
 from repro.engine.stats import ExchangeStats, ExecutionStats, NodeStats
 from repro.errors import ExecutionError, ShardUnavailable
+from repro.expressions import aggregates
 from repro.expressions.ast import Aggregate, ColumnRef
 from repro.server.transport import WIRE_PICKLE_PROTOCOL, restricted_loads
-from repro.sqltypes.values import NULL, SqlValue, is_null, sort_key, sql_div
+from repro.sqltypes.values import SqlValue, sort_key
 from repro.storage.partition import PartitionSpec, partition_table
 
 #: Hidden partial column carrying each group's first-appearance RowID.
@@ -90,55 +91,33 @@ def exchange_fanout(mode: str, shards: int) -> int:
 
 # -- aggregate decomposition -------------------------------------------------
 
-
-class DecomposedSpec:
-    """One original aggregate and the partial column(s) it merges from."""
-
-    __slots__ = ("name", "function", "partial_names")
-
-    def __init__(self, name: str, function: str, partial_names: Tuple[str, ...]):
-        self.name = name
-        self.function = function
-        self.partial_names = partial_names
+#: Per original spec: the spec, then its (partial column, merge function)
+#: pairs in :data:`repro.expressions.aggregates.TWO_PHASE` order.
+_Recipe = List[Tuple[AggregateSpec, List[Tuple[str, str]]]]
 
 
-def decompose_aggregates(
+def _split_specs(
     specs: Sequence[AggregateSpec],
-) -> "Optional[Tuple[List[AggregateSpec], List[DecomposedSpec]]]":
-    """Split ``specs`` into shard-local partials plus a global merge recipe.
-
-    Returns ``None`` when any spec is not decomposable: only *bare*,
-    non-DISTINCT aggregates qualify (COUNT/SUM/MIN/MAX partials merge by
-    sum/sum/min/max; AVG becomes a hidden SUM + COUNT pair finalized
-    exactly like :func:`repro.engine.aggregation.compute_aggregate`).
-    DISTINCT and arithmetic-over-aggregate specs are rejected — their
-    partials don't merge — and the planner falls back to ship-all.
-    """
-    partials: List[AggregateSpec] = []
-    merged: List[DecomposedSpec] = []
+) -> Optional[Tuple[List[AggregateSpec], _Recipe]]:
+    """Name the contract's partials of every spec for the shard plan, or
+    ``None`` when any spec is not a bare aggregate with mergeable partials
+    (the planner then ships all rows instead)."""
+    partial_specs: List[AggregateSpec] = []
+    recipe: _Recipe = []
     for i, spec in enumerate(specs):
         expression = spec.expression
-        if not isinstance(expression, Aggregate) or expression.distinct:
+        if not isinstance(expression, Aggregate):
             return None
-        function = expression.function
-        if function in ("COUNT", "SUM", "MIN", "MAX"):
-            partial_name = f"__p{i}"
-            partials.append(AggregateSpec(partial_name, expression))
-            merged.append(DecomposedSpec(spec.name, function, (partial_name,)))
-        elif function == "AVG":
-            sum_name, count_name = f"__p{i}s", f"__p{i}c"
-            partials.append(
-                AggregateSpec(sum_name, Aggregate("SUM", expression.argument))
-            )
-            partials.append(
-                AggregateSpec(count_name, Aggregate("COUNT", expression.argument))
-            )
-            merged.append(
-                DecomposedSpec(spec.name, "AVG", (sum_name, count_name))
-            )
-        else:
+        parts = aggregates.partials(expression)
+        if parts is None:
             return None
-    return partials, merged
+        columns: List[Tuple[str, str]] = []
+        for j, (partial, merge) in enumerate(parts):
+            name = f"__p{i}_{j}"
+            partial_specs.append(AggregateSpec(name, partial))
+            columns.append((name, merge))
+        recipe.append((spec, columns))
+    return partial_specs, recipe
 
 
 # -- plan plumbing -----------------------------------------------------------
@@ -268,13 +247,13 @@ def _run_sharded(
             raise ExecutionError(
                 "Exchange(merge=True) requires a GroupApply child"
             )
-        decomposition = decompose_aggregates(child.aggregates)
-        if decomposition is None:
+        split = _split_specs(child.aggregates)
+        if split is None:
             raise ExecutionError(
                 "Exchange(merge=True) over non-decomposable aggregates; "
                 "use merge=False (ship-all) instead"
             )
-        partial_specs, merged_specs = decomposition
+        partial_specs, recipe = split
         relation = _scan_chain_relation(child.child)
         ordinal = AggregateSpec(
             ORDINAL_COLUMN,
@@ -389,7 +368,7 @@ def _run_sharded(
 
     if node.merge:
         merged = _merge_two_phase(
-            node.child, columns, deliveries, merged_specs, config, params
+            node.child, columns, deliveries, recipe, config, params
         )
     else:
         merged = _merge_ordinal(
@@ -448,7 +427,7 @@ def _merge_two_phase(
     original: GroupApply,
     columns: Tuple[str, ...],
     deliveries: List[List[tuple]],
-    merged_specs: List[DecomposedSpec],
+    recipe: _Recipe,
     config,
     params: Optional[Mapping[str, SqlValue]],
 ) -> DataSet:
@@ -458,52 +437,26 @@ def _merge_two_phase(
     ordinal is its group's minimum RowID within that shard, so the union
     replays groups in their base-scan first-appearance order) and then fed
     through the *requesting engine's own* grouped-aggregation operator
-    with the merge aggregates: COUNT and SUM partials merge by SUM, MIN
-    and MAX by themselves, AVG from its hidden SUM + COUNT pair.  Running
-    the real operator rather than a hand-rolled fold is what makes the
-    merged stream bit-identical to the unsharded GroupApply on either
-    engine — whatever group order that engine's kernel emits over the
-    original input, it emits over the ordinal-ordered union too.
+    with each partial's merge aggregate.  Running the real operator rather
+    than a hand-rolled fold is what makes the merged stream bit-identical
+    to the unsharded GroupApply on either engine — whatever group order
+    that engine's kernel emits over the original input, it emits over the
+    ordinal-ordered union too.  Each spec's merged partials are then
+    finalized by the aggregate contract.
     """
-    index_of: Dict[str, int] = {name: i for i, name in enumerate(columns)}
-    ordinal_index = index_of[ORDINAL_COLUMN]
+    ordinal_index = columns.index(ORDINAL_COLUMN)
     rows = [row for delivery in deliveries for row in delivery]
     # sort_key, not the raw value: an empty shard's scalar partial carries
     # a NULL ordinal (MIN over no rows), which collates first.
     rows.sort(key=lambda row: sort_key((row[ordinal_index],)))
     union = DataSet(columns, rows)
 
-    merge_specs: List[AggregateSpec] = []
-    avg_pairs: Dict[int, Tuple[str, str]] = {}
-    for position, spec in enumerate(merged_specs):
-        if spec.function == "AVG":
-            sum_name, count_name = f"__m{position}s", f"__m{position}c"
-            merge_specs.append(
-                AggregateSpec(
-                    sum_name,
-                    Aggregate("SUM", ColumnRef("", spec.partial_names[0])),
-                )
-            )
-            merge_specs.append(
-                AggregateSpec(
-                    count_name,
-                    Aggregate("SUM", ColumnRef("", spec.partial_names[1])),
-                )
-            )
-            avg_pairs[position] = (sum_name, count_name)
-        else:
-            merge_function = (
-                "SUM" if spec.function in ("COUNT", "SUM") else spec.function
-            )
-            merge_specs.append(
-                AggregateSpec(
-                    spec.name,
-                    Aggregate(
-                        merge_function, ColumnRef("", spec.partial_names[0])
-                    ),
-                )
-            )
-
+    merge_specs = [
+        AggregateSpec(f"__m{k}", Aggregate(merge, ColumnRef("", column)))
+        for k, (column, merge) in enumerate(
+            pair for __, pairs in recipe for pair in pairs
+        )
+    ]
     grouping = original.grouping_columns
     if config.engine == "vector":
         from repro.engine.vector import kernels
@@ -525,34 +478,23 @@ def _merge_two_phase(
         else:
             merged, __ = hash_group(union, grouping, merge_specs, params)
 
-    if not avg_pairs:
-        return merged
-
-    # Splice each AVG back together from its merged SUM/COUNT pair,
-    # finalizing exactly as the one-phase operator does (integer totals
-    # use true division, everything else the NULL-propagating sql_div).
+    # Both engines emit the grouping columns, then one column per merge
+    # spec in order; each original spec owns a consecutive run of them.
     n_group = len(grouping)
-    merged_index = {name: i for i, name in enumerate(merged.columns)}
-    out_columns = merged.columns[:n_group] + tuple(
-        spec.name for spec in merged_specs
-    )
-    out_rows: List[Tuple[SqlValue, ...]] = []
-    for row in merged.rows:
-        values: List[SqlValue] = list(row[:n_group])
-        for position, spec in enumerate(merged_specs):
-            if spec.function == "AVG":
-                sum_name, count_name = avg_pairs[position]
-                total = row[merged_index[sum_name]]
-                count = row[merged_index[count_name]]
-                if is_null(count) or count == 0:
-                    values.append(NULL)
-                elif isinstance(total, int) and not isinstance(total, bool):
-                    values.append(total / count)
-                else:
-                    values.append(sql_div(total, count))
-            else:
-                values.append(row[merged_index[spec.name]])
-        out_rows.append(tuple(values))
+    finals: List[Tuple[str, int, int]] = []
+    start = n_group
+    for spec, pairs in recipe:
+        finals.append((spec.expression.function, start, start + len(pairs)))
+        start += len(pairs)
+    out_columns = merged.columns[:n_group] + tuple(spec.name for spec, __ in recipe)
+    out_rows = [
+        row[:n_group]
+        + tuple(
+            aggregates.finalize(function, row[begin:end])
+            for function, begin, end in finals
+        )
+        for row in merged.rows
+    ]
     out_ordering = tuple(
         name for name in merged.ordering if name in out_columns
     )

@@ -459,6 +459,12 @@ def shard_config_label(overrides: dict) -> str:
     return label
 
 
+def _typed(rows) -> List[Tuple[Tuple[str, str], ...]]:
+    """Rows as (type, repr) pairs: ``==`` holds for ``1``/``1.0``/``True``
+    and for ``0.0``/``-0.0``, which bit-identity must tell apart."""
+    return [tuple((type(v).__name__, repr(v)) for v in row) for row in rows]
+
+
 def run_shard_matrix(
     quick: bool = True, transport: str = "memory"
 ) -> List[Tuple[str, List[CaseResult]]]:
@@ -500,8 +506,8 @@ def run_shard_matrix(
             identical = (
                 row_result.columns == base_row.columns
                 and vec_result.columns == base_vec.columns
-                and row_result.rows == base_row.rows
-                and vec_result.rows == base_vec.rows
+                and _typed(row_result.rows) == _typed(base_row.rows)
+                and _typed(vec_result.rows) == _typed(base_vec.rows)
                 and row_result.ordering == base_row.ordering
                 and vec_result.ordering == base_vec.ordering
                 and vec_result.equals_multiset(base_row)

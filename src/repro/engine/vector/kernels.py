@@ -6,8 +6,10 @@ Each kernel mirrors one row-engine operator (``engine/joins.py``,
 cost study must not be able to tell the backends apart.  What changes is
 the inner loop: predicates and aggregate arguments are compiled once per
 operator (:mod:`repro.expressions.compile`) and applied to whole columns,
-selection vectors replace row copying, and grouped aggregation streams
-per-group accumulators instead of materializing row lists per group.
+selection vectors replace row copying, and grouped aggregation folds each
+aggregate's argument column per group (at C speed via ``np.bincount``
+where exact, by the :mod:`repro.expressions.aggregates` contract
+otherwise) instead of materializing row lists per group.
 
 NULL handling follows the per-batch type census: kernels consult
 :meth:`ColumnBatch.column_kinds` to decide whether the ``=ⁿ``/3VL-aware
@@ -22,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.algebra.ops import AggregateSpec
 from repro.engine.joins import extract_equi_keys
 from repro.engine.vector.batch import ColumnBatch, _Gather, _Repeat, _np
-from repro.errors import ExecutionError
+from repro.expressions.aggregates import finalize_avg, fold_groups
 from repro.expressions.ast import Expression
 from repro.expressions.compile import (
     TRUE_CODE,
@@ -31,14 +33,7 @@ from repro.expressions.compile import (
     compile_group_expression,
     compile_predicate,
 )
-from repro.sqltypes.values import (
-    NULL,
-    SqlValue,
-    group_key,
-    sort_key,
-    sql_add,
-    sql_div,
-)
+from repro.sqltypes.values import NULL, SqlValue, group_key, sort_key
 
 Params = Optional[Mapping[str, SqlValue]]
 
@@ -448,77 +443,6 @@ def _np_sort_perm(batch: ColumnBatch, indexes: Sequence[int], flags: Sequence[bo
 # -- grouped aggregation -----------------------------------------------------
 
 
-class _Accumulator:
-    """Streaming per-group state for one aggregate (pipelined fold).
-
-    Folds values in the order they are fed, which the caller arranges to
-    match the row engine exactly: input order for hash grouping, sorted
-    order for sort grouping.  SUM/AVG accumulate with ``sql_add`` starting
-    from the first value; MIN/MAX keep the first value among sort-key ties
-    (strict ``<``/``>`` replacement, same as ``min(..., key=sort_key)``).
-    """
-
-    __slots__ = ("function", "distinct", "state", "counts", "seen")
-
-    def __init__(self, function: str, distinct: bool, n_groups: int) -> None:
-        self.function = function
-        self.distinct = distinct
-        self.state: List[SqlValue] = [NULL] * n_groups
-        self.counts = [0] * n_groups
-        self.seen: Optional[List[Dict[Tuple, None]]] = (
-            [{} for __ in range(n_groups)] if distinct else None
-        )
-
-    def feed(self, gid: int, value: SqlValue) -> None:
-        if value is NULL:
-            return
-        if self.seen is not None:
-            key = group_key((value,))
-            bucket = self.seen[gid]
-            if key in bucket:
-                return
-            bucket[key] = None
-        function = self.function
-        count = self.counts[gid]
-        self.counts[gid] = count + 1
-        if function == "COUNT":
-            return
-        if count == 0:
-            self.state[gid] = value
-        elif function in ("SUM", "AVG"):
-            self.state[gid] = sql_add(self.state[gid], value)
-        elif function == "MIN":
-            if _strictly_less(value, self.state[gid]):
-                self.state[gid] = value
-        elif function == "MAX":
-            if _strictly_less(self.state[gid], value):
-                self.state[gid] = value
-        else:
-            raise ExecutionError(f"unknown aggregate function {function}")
-
-    def finish(self) -> List[SqlValue]:
-        if self.function == "COUNT":
-            return list(self.counts)
-        if self.function == "AVG":
-            return [
-                NULL
-                if count == 0
-                else (
-                    sql_div(total, count)
-                    if not isinstance(total, int)
-                    else total / count
-                )
-                for total, count in zip(self.state, self.counts)
-            ]
-        return self.state
-
-
-def _strictly_less(left: SqlValue, right: SqlValue) -> bool:
-    # Non-NULL values only (NULLs were skipped); NullsFirstKey then
-    # delegates to plain ``<``, so compare directly.
-    return left < right  # type: ignore[operator]
-
-
 def _factorize_generic(
     batch: ColumnBatch,
     group_indexes: Tuple[int, ...],
@@ -732,7 +656,8 @@ def _fold_fast(
     ``bincount`` accumulates sequentially, so per-group float sums fold in
     exactly the order the rows are presented (``fold_perm`` reorders to
     the row engine's fold order); starting from 0.0 is exact because
-    ``0.0 + x == x``.  Integer sums go through float64 weights only when
+    ``0.0 + x`` is ``x`` for every ``x`` but ``-0.0``, so a column holding
+    ``-0.0`` takes the fallback.  Integer sums go through float64 weights only when
     ``max|v|·n < 2⁵³`` guarantees every partial sum is exact; otherwise
     the caller's arbitrary-precision fallback runs.  Every group has at
     least one row and the array view excludes NULL, so the empty-bag →
@@ -759,14 +684,13 @@ def _fold_fast(
             .tolist()
         )
     else:
+        if _np.signbit(arr[arr == 0]).any():
+            return None
         totals = _np.bincount(gids, weights=arr, minlength=n_groups).tolist()
     if function == "SUM":
         return totals
     counts = _np.bincount(gids, minlength=n_groups).tolist()
-    return [
-        sql_div(total, count) if not isinstance(total, int) else total / count
-        for total, count in zip(totals, counts)
-    ]
+    return [finalize_avg(total, count) for total, count in zip(totals, counts)]
 
 
 def grouped_aggregate(
@@ -777,7 +701,7 @@ def grouped_aggregate(
     mode: str = "hash",
     presorted: bool = False,
 ) -> Tuple[ColumnBatch, int]:
-    """G[GA] + F(AA): grouped aggregation with pipelined accumulators.
+    """G[GA] + F(AA): grouped aggregation over factorized group ids.
 
     ``mode="hash"`` mirrors :func:`repro.engine.aggregation.hash_group`
     (groups in first-appearance order, work = n + groups); ``mode="sort"``
@@ -814,7 +738,7 @@ def grouped_aggregate(
 
     # Compile each distinct aggregate's argument once, evaluate it over the
     # whole batch, then fold per group — at C speed via bincount where the
-    # value column has an exact array view, streaming otherwise.
+    # value column has an exact array view, by the contract's fold otherwise.
     compiled, slots = compile_aggregate_arguments(specs, batch.names)
     agg_columns: List[List[SqlValue]] = []
     for aggregate in compiled:
@@ -850,13 +774,14 @@ def grouped_aggregate(
                     order = fold_perm_array.tolist()
                 else:
                     order = range(n)
-            accumulator = _Accumulator(
-                aggregate.function, aggregate.distinct, n_groups
+            column = fold_groups(
+                aggregate.function,
+                values,
+                group_of,
+                order,
+                n_groups,
+                aggregate.distinct,
             )
-            feed = accumulator.feed
-            for r in order:
-                feed(group_of[r], values[r])
-            column = accumulator.finish()
         agg_columns.append(column)
 
     # Evaluate each spec's F(AA) arithmetic over the per-group vectors.

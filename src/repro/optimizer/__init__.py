@@ -11,7 +11,6 @@ from repro.optimizer.cardinality import (
 from repro.optimizer.cost import (
     CostModel,
     CostWeights,
-    DistributedCostModel,
     NetworkWeights,
     PlanCost,
 )
@@ -29,7 +28,7 @@ from repro.optimizer.rewrites import (
 __all__ = [
     "CardinalityEstimator", "ColumnStats", "EstimateContext", "Statistics",
     "TableStats", "collect_statistics",
-    "CostModel", "CostWeights", "DistributedCostModel", "NetworkWeights",
+    "CostModel", "CostWeights", "NetworkWeights",
     "PlanCost", "Histogram",
     "POLICIES", "PlanChoice", "Planner",
     "REWRITE_RULES", "RewriteOutcome", "RuleCertificate",

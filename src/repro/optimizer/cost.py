@@ -1,15 +1,15 @@
-"""Plan cost model: CPU work, and optionally two-site communication.
+"""Plan cost model: CPU work plus the §7 communication term.
 
 Section 7 of the paper lists the trade-offs of eager grouping — the join
 input can only shrink, the group-by input may grow or shrink with join
 selectivity, and in a distributed database the transformation can slash
-communication because only one row per group crosses the wire.  This module
-turns those observations into numbers:
-
-* :class:`CostModel` — per-operator CPU costs driven by the cardinality
-  estimator (hash join ≈ |L|+|R|+|out|, hash group ≈ n+groups, etc.);
-* :class:`DistributedCostModel` — adds a transfer charge for shipping the
-  R1 side to the R2 site (or vice versa), the §7 communication argument.
+communication because only one row per group crosses the wire.
+:class:`CostModel` turns those observations into numbers: per-operator
+CPU costs driven by the cardinality estimator (hash join ≈ |L|+|R|+|out|,
+hash group ≈ n+groups, etc.), and for every
+:class:`~repro.algebra.ops.Exchange` in the plan a transfer charge per
+shipped row (:class:`NetworkWeights`).  To price shipping a subplan to
+another site, wrap that subplan in an Exchange.
 
 Costs are abstract units, not seconds: the reproduction targets the
 *shape* of the paper's comparisons (who wins, where the crossover falls).
@@ -69,7 +69,7 @@ class PlanCost:
 
 @dataclass(frozen=True)
 class NetworkWeights:
-    """Two-site communication charges (per row shipped).
+    """Communication charges of an Exchange (per row shipped).
 
     ``per_site_latency`` prices one round trip to one shard site in CPU
     units (the socket transport's measured heartbeat RTT is converted by
@@ -105,8 +105,7 @@ class CostModel:
     count), and every row the child produces is charged ``network.per_row``
     times the mode factor on its way through the wire.  This is what makes
     the planner push partial aggregation below the Exchange exactly when
-    groups ≪ rows — the same comparison
-    :class:`DistributedCostModel.cost_with_transfer` makes abstractly.
+    groups ≪ rows.
     """
 
     def __init__(
@@ -256,32 +255,6 @@ class CostModel:
             + probe.rows * w.hash_probe
             + output.rows * w.output_tuple
         )
-
-
-class DistributedCostModel:
-    """CPU cost plus the §7 communication term for a two-site layout.
-
-    The R1-group tables live on site 1, the R2-group tables on site 2, and
-    the join executes at site 2: whatever the plan produces on the R1 side
-    (the raw filtered rows for E1, one row per group for E2) must cross the
-    network.  ``transfer_rows(plan_r1_side_rows)`` is charged at
-    ``per_row``.
-    """
-
-    def __init__(
-        self,
-        cost_model: CostModel,
-        network: NetworkWeights = NetworkWeights(),
-    ) -> None:
-        self.cost_model = cost_model
-        self.network = network
-
-    def cost_with_transfer(self, plan: PlanNode, shipped_subplan: PlanNode) -> float:
-        """Total cost of ``plan`` when ``shipped_subplan``'s output crosses
-        the network."""
-        base = self.cost_model.cost(plan).total
-        shipped_rows = self.cost_model.estimator.rows(shipped_subplan)
-        return base + self.network.per_query_setup + shipped_rows * self.network.per_row
 
 
 def _nlogn(n: float) -> float:

@@ -32,7 +32,7 @@ from repro.algebra.ops import (
     PlanNode,
     Relation,
     Select,
-    _with_children,
+    replace_subtree,
 )
 from repro.catalog.catalog import Database
 from repro.errors import TransformationError
@@ -90,18 +90,6 @@ def _find_sites(plan: PlanNode) -> List[_Site]:
 
     recurse(plan, None)
     return sites
-
-
-def _replace(plan: PlanNode, target: PlanNode, replacement: PlanNode) -> PlanNode:
-    if plan is target:
-        return replacement
-    children = plan.children()
-    if not children:
-        return plan
-    rebuilt = tuple(_replace(child, target, replacement) for child in children)
-    if all(new is old for new, old in zip(rebuilt, children)):
-        return plan
-    return _with_children(plan, rebuilt)
 
 
 def _exchange_keys(
@@ -169,7 +157,7 @@ def distribute_plan(plan: PlanNode, database: Database, config) -> PlanNode:
 
     candidates: List[Tuple[float, PlanNode, PlanNode, Exchange, str]] = []
     ship_all = Exchange(site.chain, mode, shards, method, keys, False)
-    ship_all_plan = _replace(plan, site.chain, ship_all)
+    ship_all_plan = replace_subtree(plan, site.chain, ship_all)
     candidates.append(
         (model.cost(ship_all_plan).total, ship_all_plan, site.chain, ship_all,
          "ship-all")
@@ -179,7 +167,7 @@ def distribute_plan(plan: PlanNode, database: Database, config) -> PlanNode:
 
         if exact_decomposition_reason(site.group, database) is None:
             two_phase = Exchange(site.group, mode, shards, method, keys, True)
-            two_phase_plan = _replace(plan, site.group, two_phase)
+            two_phase_plan = replace_subtree(plan, site.group, two_phase)
             candidates.append(
                 (model.cost(two_phase_plan).total, two_phase_plan, site.group,
                  two_phase, "two-phase")

@@ -119,23 +119,42 @@ def sql_compare_ge(left: object, right: object) -> Truth:
     return from_bool(left >= right)
 
 
+def _mismatch(op: str, left: object, right: object) -> TypeMismatchError:
+    return TypeMismatchError(
+        f"cannot apply {op} to {type(left).__name__} and {type(right).__name__}"
+    )
+
+
 def sql_add(left: object, right: object) -> SqlValue:
-    """SQL ``+``: NULL-propagating arithmetic."""
+    """SQL ``+``: NULL-propagating arithmetic.
+
+    Operands outside one arithmetic domain raise :class:`TypeMismatchError`
+    (as do the other operators below), never a bare Python ``TypeError``.
+    """
     if is_null(left) or is_null(right):
         return NULL
-    return left + right  # type: ignore[operator]
+    try:
+        return left + right  # type: ignore[operator]
+    except TypeError:
+        raise _mismatch("+", left, right) from None
 
 
 def sql_sub(left: object, right: object) -> SqlValue:
     if is_null(left) or is_null(right):
         return NULL
-    return left - right  # type: ignore[operator]
+    try:
+        return left - right  # type: ignore[operator]
+    except TypeError:
+        raise _mismatch("-", left, right) from None
 
 
 def sql_mul(left: object, right: object) -> SqlValue:
     if is_null(left) or is_null(right):
         return NULL
-    return left * right  # type: ignore[operator]
+    try:
+        return left * right  # type: ignore[operator]
+    except TypeError:
+        raise _mismatch("*", left, right) from None
 
 
 def sql_div(left: object, right: object) -> SqlValue:
@@ -150,13 +169,19 @@ def sql_div(left: object, right: object) -> SqlValue:
         # SQL integer division truncates toward zero.
         quotient = abs(left) // abs(right)
         return quotient if (left >= 0) == (right >= 0) else -quotient
-    return left / right  # type: ignore[operator]
+    try:
+        return left / right  # type: ignore[operator]
+    except TypeError:
+        raise _mismatch("/", left, right) from None
 
 
 def sql_neg(value: object) -> SqlValue:
     if is_null(value):
         return NULL
-    return -value  # type: ignore[operator]
+    try:
+        return -value  # type: ignore[operator]
+    except TypeError:
+        raise TypeMismatchError(f"cannot negate {type(value).__name__}") from None
 
 
 class NullsFirstKey:

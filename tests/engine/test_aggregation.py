@@ -11,6 +11,7 @@ from repro.engine.aggregation import (
     sort_group,
 )
 from repro.engine.dataset import DataSet
+from repro.expressions.aggregates import fold
 from repro.expressions.builder import add, avg, col, count, count_star, max_, min_, sum_
 from repro.sqltypes.values import NULL, is_null
 
@@ -135,16 +136,26 @@ class TestDistinct:
 
 
 class TestComputeAggregate:
+    """The row engine folds each group by the aggregate contract."""
+
     def test_direct_call(self):
         ds = dataset()
         group = [row for row in ds.rows if row[0] == 1]
         assert compute_aggregate(count("T.v"), ds, group) == 2
         assert compute_aggregate(sum_("T.v"), ds, group) == 30
+        with_null = [row for row in ds.rows if row[0] == 2]
+        for aggregate in (count("T.v"), sum_("T.v"), avg("T.v"), min_("T.v"),
+                          max_("T.v"), count("T.v", distinct=True)):
+            for rows in (group, with_null):
+                assert compute_aggregate(aggregate, ds, rows) == fold(
+                    aggregate.function, [row[1] for row in rows], aggregate.distinct
+                )
 
     def test_evaluate_expression_over_empty_group(self):
         ds = dataset()
-        assert compute_aggregate(count("T.v"), ds, []) == 0
+        assert compute_aggregate(count("T.v"), ds, []) == fold("COUNT", []) == 0
         assert is_null(compute_aggregate(sum_("T.v"), ds, []))
+        assert is_null(fold("SUM", []))
         assert is_null(
             evaluate_aggregate_expression(add(sum_("T.v"), count("T.v")), ds, [])
         )

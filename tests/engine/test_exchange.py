@@ -17,11 +17,13 @@ from repro.algebra.ops import AggregateSpec, Exchange, GroupApply, Relation, Sel
 from repro.catalog.catalog import Database
 from repro.catalog.schema import Column, TableSchema
 from repro.engine import faults
-from repro.engine.exchange import decompose_aggregates, exchange_fanout
+from repro.engine.exchange import exchange_fanout
 from repro.engine.executor import ExecutorConfig, execute
 from repro.errors import ExecutionError
+from repro.expressions.aggregates import partials
 from repro.expressions.builder import avg, col, count, gt, max_, min_, sum_
-from repro.sqltypes.datatypes import INTEGER
+from repro.sqltypes.datatypes import BOOLEAN, INTEGER
+from repro.sqltypes.values import NULL
 from repro.storage.partition import PartitionSpec
 
 
@@ -67,19 +69,32 @@ class TestFanout:
 
 
 class TestDecompose:
+    """The aggregate contract's two-phase split of the Exchange's specs."""
+
     def test_all_five_functions(self):
-        specs = group_plan().aggregates
-        partials, merged = decompose_aggregates(specs)
+        split = [partials(spec.expression) for spec in group_plan().aggregates]
         # AVG contributes a hidden SUM+COUNT pair, the rest map 1:1.
-        assert len(partials) == 6
-        assert [m.function for m in merged] == [
-            "COUNT", "SUM", "MIN", "MAX", "AVG",
+        assert sum(len(parts) for parts in split) == 6
+        assert [
+            [(partial.function, merge) for partial, merge in parts]
+            for parts in split
+        ] == [
+            [("COUNT", "SUM")],
+            [("SUM", "SUM")],
+            [("MIN", "MIN")],
+            [("MAX", "MAX")],
+            [("SUM", "SUM"), ("COUNT", "SUM")],
         ]
-        assert merged[4].partial_names == ("__p4s", "__p4c")
 
     def test_distinct_is_not_decomposable(self):
-        specs = (AggregateSpec("d", count("T.v", distinct=True)),)
-        assert decompose_aggregates(specs) is None
+        assert partials(count("T.v", distinct=True)) is None
+        plan = GroupApply(
+            Relation("T", "T"),
+            ("T.k",),
+            (AggregateSpec("d", count("T.v", distinct=True)),),
+        )
+        with pytest.raises(ExecutionError, match="non-decomposable"):
+            execute(make_db(), wrap(plan, merge=True), ExecutorConfig())
 
 
 @pytest.mark.parametrize("engine", ["row", "vector"])
@@ -100,6 +115,31 @@ class TestBitIdentity:
         assert len(stats.exchanges) == 1
         # Two-phase ships one partial row per (shard, group), never more.
         assert stats.rows_shipped() <= 3 * 7
+
+    def test_avg_over_boolean(self, engine, partitioning):
+        """A one-value BOOLEAN group averages to 1.0/0.0 in one phase; the
+        merged SUM partial is then a bool, and must finalize the same way
+        (``==`` cannot tell 1 from 1.0, so compare the types too)."""
+        db = Database()
+        db.create_table(
+            TableSchema("T", [Column("k", INTEGER), Column("b", BOOLEAN)])
+        )
+        for k, b in ((0, True), (1, False), (2, True), (2, NULL), (3, NULL)):
+            db.table("T").insert([k, b])
+        plan = GroupApply(
+            Relation("T", "T"), ("T.k",), (AggregateSpec("a", avg("T.b")),)
+        )
+        config = ExecutorConfig(engine=engine)
+        base, __ = execute(db, plan, config)
+        sharded, __ = execute(
+            db, wrap(plan, shards=2, partitioning=partitioning, merge=True), config
+        )
+
+        def typed(rows):
+            return [tuple((type(v).__name__, repr(v)) for v in row) for row in rows]
+
+        assert typed(base.rows) == typed([(0, 1.0), (1, 0.0), (2, 1.0), (3, NULL)])
+        assert typed(sharded.rows) == typed(base.rows)
 
     def test_ship_all_restores_scan_order(self, engine, partitioning):
         db = make_db()

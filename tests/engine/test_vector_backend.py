@@ -40,6 +40,7 @@ from repro.expressions.builder import (
     and_,
     avg,
     col,
+    count,
     count_star,
     eq,
     gt,
@@ -58,7 +59,7 @@ from repro.expressions.compile import (
     compile_predicate,
     compile_scalar,
 )
-from repro.sqltypes import INTEGER
+from repro.sqltypes import FLOAT, INTEGER
 from repro.sqltypes.values import NULL
 from repro.storage.columnar import table_to_batch
 
@@ -474,6 +475,79 @@ def test_tie_winner_matches_row_engine():
     engine's fold keeps, bit for bit."""
     rows = [(0, 5), (0, 5), (0, 5), (1, -2), (1, -2)]
     _assert_vector_matches_row(_kv_db(rows), _minmax_plan())
+
+
+def _contract_edge_plan(selected):
+    return GroupApply(
+        selected,
+        ["T.k"],
+        [
+            AggregateSpec("n", count_star()),
+            AggregateSpec("c", count("T.v")),
+            AggregateSpec("s", sum_("T.v")),
+            AggregateSpec("a", avg("T.v")),
+            AggregateSpec("mn", min_("T.v")),
+            AggregateSpec("mx", max_("T.v")),
+            AggregateSpec("dc", count("T.v", distinct=True)),
+            AggregateSpec("ds", sum_("T.v", distinct=True)),
+            AggregateSpec("da", avg("T.v", distinct=True)),
+        ],
+    )
+
+
+@pytest.mark.parametrize("aggregation", ["hash", "sort"])
+@pytest.mark.parametrize("case", ["all-null-group", "distinct-group", "empty"])
+def test_contract_edges_row_vs_vector(case, aggregation):
+    """An all-NULL group (COUNT 0, NULL elsewhere), a group with repeated
+    values under DISTINCT, and an empty input: both engines must emit the
+    same values *and types* (``==`` cannot tell 1 from 1.0)."""
+    rows = [(0, NULL), (0, NULL), (1, 4), (1, 4), (1, 7), (2, 3)]
+    selected = Relation("T", "T")
+    if case == "empty":
+        selected = Select(selected, gt(col("T.v"), 100))
+    elif case == "distinct-group":
+        rows = [row for row in rows if row[0] != 0]
+    database = _kv_db(rows)
+    results = [
+        execute(
+            database,
+            _contract_edge_plan(selected),
+            ExecutorConfig(engine=engine, aggregation=aggregation),
+        )[0]
+        for engine in ("row", "vector")
+    ]
+    typed = [
+        [tuple((type(v).__name__, repr(v)) for v in row) for row in result.rows]
+        for result in results
+    ]
+    assert typed[0] == typed[1]
+    if case == "all-null-group":
+        assert results[0].rows[0] == (0, 2, 0, NULL, NULL, NULL, NULL, 0, NULL, NULL)
+    elif case == "distinct-group":
+        assert results[0].rows[0][1:] == (3, 3, 15, 5.0, 4, 7, 2, 11, 5.5)
+    else:
+        assert results[0].rows == []
+
+
+def test_negative_zero_sum_matches_row_engine():
+    """``bincount`` starts each sum at 0.0, and ``0.0 + -0.0`` is ``0.0``:
+    a float column holding ``-0.0`` must fold like the row engine."""
+    database = Database()
+    database.create_table(
+        TableSchema("T", [Column("k", INTEGER), Column("f", FLOAT)])
+    )
+    for k, f in ((0, -0.0), (0, -0.0), (1, 2.5), (1, -0.0)):
+        database.insert("T", [k, f])
+    plan = GroupApply(
+        Relation("T", "T"),
+        ["T.k"],
+        [AggregateSpec("s", sum_("T.f")), AggregateSpec("a", avg("T.f"))],
+    )
+    rows = {
+        engine: execute(database, plan, ExecutorConfig(engine=engine))[0].rows
+        for engine in ("row", "vector")
+    }
+    assert repr(rows["vector"]) == repr(rows["row"]) == "[(0, -0.0, -0.0), (1, 2.5, 1.25)]"
 
 
 def test_nulls_fall_back_and_stay_correct():

@@ -4,14 +4,9 @@ import pytest
 
 from repro.core.transform import build_eager_plan, build_standard_plan
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import (
-    CostModel,
-    CostWeights,
-    DistributedCostModel,
-    NetworkWeights,
-)
+from repro.optimizer.cost import CostModel, CostWeights, NetworkWeights
 from repro.workloads.generators import TwoTableSpec, make_two_table
-from repro.algebra.ops import AggregateSpec
+from repro.algebra.ops import AggregateSpec, Exchange, Join, replace_subtree
 from repro.core.query_class import GroupByJoinQuery
 from repro.expressions.builder import col, eq, sum_
 from repro.fd.derivation import TableBinding
@@ -91,22 +86,26 @@ class TestDistributedModel:
     def test_eager_slashes_communication(self):
         db = make_two_table(TwoTableSpec(n_a=2000, n_b=20, a_groups=20, seed=7))
         query = two_table_query()
-        model = DistributedCostModel(
-            CostModel(CardinalityEstimator(db)),
-            NetworkWeights(per_row=100.0),
+        model = CostModel(
+            CardinalityEstimator(db), network=NetworkWeights(per_row=100.0)
         )
         standard = build_standard_plan(query)
         eager = build_eager_plan(query)
-        # Shipped subplan: the R1 side — raw A for standard, the aggregate
-        # for eager (plan.child.left under the projection).
-        standard_shipped = standard.child.child.child.left  # Apply<-Group<-Join.left
-        from repro.algebra.ops import Join as JoinOp
-
+        # Shipped subplan: the R1 side — raw A for standard
+        # (Apply<-Group<-Join.left), the aggregate for eager (the join's
+        # left input under the projection).  Each is priced under an
+        # Exchange, the way the planner prices a wire.
+        standard_shipped = standard.child.child.child.left
         join = eager.child
-        assert isinstance(join, JoinOp)
+        assert isinstance(join, Join)
         eager_shipped = join.left
-        standard_total = model.cost_with_transfer(standard, standard_shipped)
-        eager_total = model.cost_with_transfer(eager, eager_shipped)
+
+        def shipped_cost(plan, subplan):
+            wired = replace_subtree(plan, subplan, Exchange(subplan))
+            return model.cost(wired).total
+
+        standard_total = shipped_cost(standard, standard_shipped)
+        eager_total = shipped_cost(eager, eager_shipped)
         assert eager_total < standard_total
         # The gap must be dominated by the transfer term.
         assert standard_total - eager_total > 0.5 * 100.0 * (2000 - 20)

@@ -1,9 +1,13 @@
 """UPDATE and DELETE through SQL, with constraint enforcement."""
 
+import io
+
 import pytest
 
 from repro.catalog.schema import Column, TableSchema
 from repro.errors import BindingError, CatalogError, ConstraintViolation
+from repro.cli import Shell
+from repro.engine.executor import ExecutorConfig
 from repro.errors import TypeMismatchError
 from repro.expressions.ast import ColumnRef
 from repro.expressions.builder import eq, lit
@@ -12,9 +16,8 @@ from repro.sqltypes.datatypes import INTEGER
 from repro.sqltypes.values import NULL, is_null
 
 
-@pytest.fixture
-def session():
-    s = Session()
+def make_session(executor_config=ExecutorConfig()):
+    s = Session(executor_config=executor_config)
     s.execute("CREATE TABLE Department (DeptID INTEGER PRIMARY KEY, Name VARCHAR(30))")
     s.execute(
         "CREATE TABLE Employee (EmpID INTEGER PRIMARY KEY, "
@@ -27,6 +30,11 @@ def session():
         "(3, 'C', 300, 2)"
     )
     return s
+
+
+@pytest.fixture
+def session():
+    return make_session()
 
 
 class TestDelete:
@@ -128,6 +136,36 @@ class TestUpdate:
     def test_update_unknown_column(self, session):
         with pytest.raises(CatalogError):
             session.execute("UPDATE Employee SET Bogus = 1")
+
+
+@pytest.mark.parametrize("engine", ["row", "vector"])
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "UPDATE Employee SET Salary = Salary + 'x'",
+        "DELETE FROM Employee WHERE Salary + 'x' = 1",
+        "SELECT SUM(E.Salary + 'x') FROM Employee E",
+    ],
+    ids=["update-set", "delete-where", "select-sum"],
+)
+class TestTypedArithmeticErrors:
+    """Arithmetic over operands of different domains is a typed error in
+    DML and on both engines, never a bare Python ``TypeError``."""
+
+    def test_raises_type_mismatch(self, engine, sql):
+        session = make_session(ExecutorConfig(engine=engine))
+        before = session.database.table("Employee").rows()
+        run = session.query if sql.startswith("SELECT") else session.execute
+        with pytest.raises(TypeMismatchError, match=r"cannot apply \+ to int and str"):
+            run(sql)
+        assert session.database.table("Employee").rows() == before
+
+    def test_cli_exits_with_execution_family(self, engine, sql):
+        out = io.StringIO()
+        shell = Shell(make_session(ExecutorConfig(engine=engine)), out=out)
+        shell.handle(sql + ";")
+        assert shell.exit_code == 4
+        assert "cannot apply + to int and str" in out.getvalue()
 
 
 class TestTypedErrorsInWhereScan:
